@@ -8,16 +8,18 @@
 //!   accessors (`VirtAddr::as_u64`, `usize_from`, `index_bits`, …).
 //! * **`panic` (R2)** — no `.unwrap()` / `.expect()` / `panic!` /
 //!   `unreachable!` in simulator hot paths (`crates/sim/src/engine.rs`,
-//!   `crates/tlb`, `crates/schemes`) unless allowlisted with the invariant
-//!   stated.
+//!   `crates/tlb`, `crates/schemes`, `crates/core/src/anchor_scheme.rs`)
+//!   unless allowlisted with the invariant stated.
 //! * **`crate-attrs` (R3)** — every crate root carries
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //! * **`determinism` (R4)** — no `SystemTime::now`, `thread_rng`,
 //!   `from_entropy`, or `rand::random` anywhere; `Instant::now` only in
 //!   `crates/bench` (wall-clock reporting, never simulated state).
 //! * **`wildcard-match` (R5)** — no `_ =>` match arms in
-//!   `crates/schemes`: adding a scheme or page size must be a compile
-//!   error at every dispatch site, not a silent fall-through.
+//!   `crates/schemes` or the anchor stage
+//!   (`crates/core/src/anchor_scheme.rs`): adding a scheme, page size or
+//!   fill policy must be a compile error at every dispatch site, not a
+//!   silent fall-through.
 //!
 //! A finding is suppressed by `// audit:allow(<rule>): <why>` on the same
 //! line, or on its own comment line (possibly the first of several
@@ -38,7 +40,7 @@ pub enum Rule {
     CrateAttrs,
     /// R4: nondeterministic time or RNG source.
     Determinism,
-    /// R5: `_` wildcard match arm in the scheme crate.
+    /// R5: `_` wildcard match arm in the scheme stages.
     WildcardMatch,
 }
 
@@ -150,11 +152,17 @@ impl Scope {
             || rel_path.contains("/benches/")
             || rel_path.starts_with("examples/");
         let in_src = |cr: &str| rel_path.starts_with(&format!("crates/{cr}/src/"));
+        // The anchor stage's probe and fill run on every access, like the
+        // scheme crate's stages.
+        let is_anchor_stage = rel_path == "crates/core/src/anchor_scheme.rs";
         Scope {
             check_casts: !is_test_file && !in_src("types") && !in_src("audit"),
             check_panics: !is_test_file
-                && (rel_path == "crates/sim/src/engine.rs" || in_src("tlb") || in_src("schemes")),
-            check_wildcards: !is_test_file && in_src("schemes"),
+                && (rel_path == "crates/sim/src/engine.rs"
+                    || in_src("tlb")
+                    || in_src("schemes")
+                    || is_anchor_stage),
+            check_wildcards: !is_test_file && (in_src("schemes") || is_anchor_stage),
             allow_instant: rel_path.starts_with("crates/bench/"),
         }
     }
@@ -470,7 +478,7 @@ fn rule_determinism(
     }
 }
 
-/// R5: `_ =>` wildcard arms in the scheme crate.
+/// R5: `_ =>` wildcard arms in the scheme stages.
 fn rule_wildcard(
     rel_path: &str,
     tokens: &[Token<'_>],

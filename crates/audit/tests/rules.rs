@@ -84,6 +84,7 @@ fn panic_rule_only_covers_hot_paths() {
     let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
     assert_eq!(rules_hit(&check_file("crates/sim/src/engine.rs", src)), vec![Rule::Panic]);
     assert_eq!(rules_hit(&check_file("crates/tlb/src/l1.rs", src)), vec![Rule::Panic]);
+    assert_eq!(rules_hit(&check_file("crates/core/src/anchor_scheme.rs", src)), vec![Rule::Panic]);
     // Cold paths (reporting, config) may panic on programmer error.
     assert!(check_file("crates/sim/src/report.rs", src).is_empty());
     assert!(check_file("crates/mem/src/numa.rs", src).is_empty());
@@ -177,9 +178,12 @@ fn wildcard_rule_passes_exhaustive_and_binding_patterns() {
 }
 
 #[test]
-fn wildcard_rule_is_scoped_to_the_scheme_crate() {
+fn wildcard_rule_is_scoped_to_the_scheme_stages() {
     let src = "fn f(k: Kind) -> u32 { match k { Kind::A => 1, _ => 0 } }\n";
     assert!(check_file("crates/mem/src/fixture.rs", src).is_empty());
+    assert!(check_file("crates/core/src/os.rs", src).is_empty());
+    let findings = check_file("crates/core/src/anchor_scheme.rs", src);
+    assert_eq!(rules_hit(&findings), vec![Rule::WildcardMatch]);
 }
 
 #[test]

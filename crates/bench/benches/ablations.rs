@@ -32,7 +32,7 @@ fn indexing(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = AnchorConfig { indexing, ..AnchorConfig::dynamic() };
                 let scheme = AnchorScheme::new(Arc::clone(&map), cfg);
-                Machine::from_scheme(Box::new(scheme), &map, &config)
+                Machine::from_scheme(Box::new(scheme.into_mmu()), &map, &config)
                     .run(trace.iter().copied())
                     .tlb_misses()
             });
@@ -59,7 +59,7 @@ fn fill_policy(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
                 let scheme = AnchorScheme::new(Arc::clone(&map), cfg);
-                Machine::from_scheme(Box::new(scheme), &map, &config)
+                Machine::from_scheme(Box::new(scheme.into_mmu()), &map, &config)
                     .run(trace.iter().copied())
                     .tlb_misses()
             });

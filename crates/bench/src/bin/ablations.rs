@@ -24,7 +24,7 @@ fn run_anchor(
     config: &PaperConfig,
 ) -> RunStats {
     let scheme = AnchorScheme::new(Arc::clone(map), cfg);
-    Machine::from_scheme(Box::new(scheme), map, config).run(trace.iter().copied())
+    Machine::from_scheme(Box::new(scheme.into_mmu()), map, config).run(trace.iter().copied())
 }
 
 fn main() {

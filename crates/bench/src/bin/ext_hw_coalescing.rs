@@ -41,7 +41,7 @@ fn main() {
             SchemeKind::Cluster.build(&arc, &config),
             Box::new(ColtScheme::new(Arc::clone(&arc), latency)),
             Box::new(ColtScheme::with_fully_associative(Arc::clone(&arc), latency, 32)),
-            Box::new(AnchorScheme::new(Arc::clone(&arc), AnchorConfig::dynamic())),
+            Box::new(AnchorScheme::new(Arc::clone(&arc), AnchorConfig::dynamic()).into_mmu()),
         ];
         let cells: Vec<String> = schemes
             .into_iter()

@@ -1,7 +1,9 @@
 //! The anchor TLB — hardware lookup flow of Figures 5–6 and Table 2.
 //!
-//! On an L1 miss the shared L2 array is probed for a regular entry (4 KB,
-//! then 2 MB). On a regular miss the *anchor* entry for the VPN is probed:
+//! The shared [`Mmu`] pipeline runs the flow; [`AnchorStage`] supplies the
+//! anchor-specific steps. On an L1 miss the shared L2 array is probed for
+//! a regular entry (4 KB, then 2 MB). On a regular miss the *anchor* entry
+//! for the VPN is probed:
 //! `AVPN = VPN & !(N−1)`, indexed with bits `[d, d+set_bits)` of the VPN so
 //! anchors spread over all sets (Figure 6). An anchor hit whose contiguity
 //! covers the VPN completes the translation as `APPN + (VPN − AVPN)` for
@@ -20,13 +22,10 @@
 use crate::distance::{CostModel, DistanceSelector};
 use crate::os::OsKernel;
 use hytlb_mem::{AddressSpaceMap, ChunkCursor};
-use hytlb_pagetable::PageWalker;
-use hytlb_schemes::{
-    AccessResult, AnchorIndexing, LatencyModel, SchemeStats, SharedL2, TranslationPath,
-    TranslationScheme,
-};
-use hytlb_tlb::L1Tlb;
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum, HUGE_PAGE_PAGES};
+use hytlb_pagetable::{LeafEntry, PageTable};
+use hytlb_schemes::{AnchorIndexing, L2Stage, LatencyModel, Mmu, Probe, SharedL2};
+use hytlb_types::{PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// How the per-process anchor distance is managed.
@@ -101,15 +100,12 @@ impl Default for AnchorConfig {
     }
 }
 
-/// The hybrid-coalescing MMU.
+/// The anchor stage: the anchor probe and the Table 2 fill, over the OS
+/// model's anchored page table.
 #[derive(Debug)]
-pub struct AnchorScheme {
-    l1: L1Tlb,
-    l2: SharedL2,
+pub struct AnchorStage {
     os: OsKernel,
-    walker: PageWalker,
     config: AnchorConfig,
-    stats: SchemeStats,
     name: String,
     shootdowns: u64,
     /// Last-chunk cache for the walker's huge-page-shape probe; the OS
@@ -117,6 +113,100 @@ pub struct AnchorScheme {
     /// so the cursor can never go stale.
     walk_cursor: ChunkCursor,
 }
+
+/// Why the anchor probe missed: the Table 2 row the fill must serve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnchorMiss {
+    /// Row 3: the anchor entry is present but its contiguity does not
+    /// cover the page.
+    Uncovered,
+    /// Rows 4–5: no anchor entry, under anchor distance
+    /// `1 << distance_log2`.
+    Absent {
+        /// Log2 of the anchor distance in effect for the page.
+        distance_log2: u32,
+    },
+}
+
+impl AnchorStage {
+    fn fill_regular(&mut self, l2: &mut SharedL2, vpn: VirtPageNum, pfn: PhysFrameNum) {
+        // The walker knows from the PD entry whether the region is
+        // huge-page shaped; the anchor scheme's L2 stores 4 KB, 2 MB and
+        // anchor entries side by side (Table 3).
+        if let Some(head) = self.os.map().huge_page_at_with(vpn, &mut self.walk_cursor) {
+            let head_pfn = PhysFrameNum::new(pfn.as_u64() - (vpn - head));
+            if head_pfn.is_aligned(HUGE_PAGE_PAGES) {
+                return l2.insert_2m(head, head_pfn);
+            }
+        }
+        l2.insert_4k(vpn, pfn);
+    }
+}
+
+impl L2Stage for AnchorStage {
+    type Miss = AnchorMiss;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn holds_2m(&self) -> bool {
+        true
+    }
+
+    fn table(&self) -> &PageTable {
+        self.os.table()
+    }
+
+    fn probe(&mut self, l2: &mut SharedL2, vpn: VirtPageNum) -> Probe<AnchorMiss> {
+        let distance_log2 = self.os.distance_for(vpn).trailing_zeros();
+        match l2.lookup_anchor(vpn, distance_log2, self.config.indexing) {
+            // Row 2: anchor hit, contiguity match.
+            Some(hit) if hit.covers(vpn) => Probe::Coalesced(hit.translate(vpn)),
+            Some(_) => Probe::Miss(AnchorMiss::Uncovered),
+            None => Probe::Miss(AnchorMiss::Absent { distance_log2 }),
+        }
+    }
+
+    /// Rows 3–5: the regular translation goes to the core first; the
+    /// anchor PTE fetch is off the critical path and decides the fill.
+    fn fill(&mut self, l2: &mut SharedL2, vpn: VirtPageNum, leaf: &LeafEntry, miss: AnchorMiss) {
+        let pfn = leaf.pfn_for(vpn);
+        let AnchorMiss::Absent { distance_log2 } = miss else {
+            // Row 3: only the page's own entry can translate it.
+            return self.fill_regular(l2, vpn, pfn);
+        };
+        match (self.config.fill, self.os.anchor_probe(vpn).filter(|p| p.covers(vpn))) {
+            // Row 4: fill only the anchor entry.
+            (FillPolicy::PreferAnchor, Some(p)) => {
+                l2.insert_anchor(p.avpn, p.pfn, p.contiguity, distance_log2, self.config.indexing)
+            }
+            // Row 5, or the ablation policy: fill the regular entry.
+            (FillPolicy::PreferAnchor, None) | (FillPolicy::AlwaysRegular, _) => {
+                self.fill_regular(l2, vpn, pfn);
+            }
+        }
+    }
+
+    fn on_epoch(&mut self) -> bool {
+        if self.config.mode != DistanceMode::Dynamic {
+            return false;
+        }
+        let shootdown = self.os.check_epoch().requires_shootdown();
+        self.shootdowns += u64::from(shootdown);
+        shootdown
+    }
+
+    fn anchor_distance(&self) -> Option<u64> {
+        Some(self.os.distance())
+    }
+}
+
+/// The hybrid-coalescing MMU: the shared pipeline around an
+/// [`AnchorStage`]. Dereferences to that [`Mmu`], which implements
+/// [`TranslationScheme`](hytlb_schemes::TranslationScheme).
+#[derive(Debug)]
+pub struct AnchorScheme(Mmu<AnchorStage>);
 
 impl AnchorScheme {
     /// Builds the scheme over a mapping.
@@ -137,173 +227,50 @@ impl AnchorScheme {
                 (OsKernel::with_regions(map, selector, n), format!("Anchor-region{n}"))
             }
         };
-        AnchorScheme {
-            l1: L1Tlb::paper_default(),
-            l2: SharedL2::paper_default(),
-            os,
-            walker: PageWalker::default(),
-            config,
-            stats: SchemeStats::default(),
-            name,
-            shootdowns: 0,
-            walk_cursor: ChunkCursor::default(),
-        }
+        let latency = config.latency;
+        let stage =
+            AnchorStage { os, config, name, shootdowns: 0, walk_cursor: ChunkCursor::default() };
+        AnchorScheme(Mmu::from_stage(stage, SharedL2::paper_default(), latency))
+    }
+
+    /// The MMU, for callers that hold schemes as
+    /// `Box<dyn TranslationScheme>`.
+    #[must_use]
+    pub fn into_mmu(self) -> Mmu<AnchorStage> {
+        self.0
     }
 
     /// The anchor distance currently in effect process-wide (or the default
     /// distance for multi-region kernels).
     #[must_use]
     pub fn distance(&self) -> u64 {
-        self.os.distance()
+        self.os().distance()
     }
 
     /// The OS model (histogram, epochs, region table, ...).
     #[must_use]
     pub fn os(&self) -> &OsKernel {
-        &self.os
+        &self.0.stage().os
     }
 
     /// TLB shootdowns triggered by distance changes.
     #[must_use]
     pub fn shootdowns(&self) -> u64 {
-        self.shootdowns
-    }
-
-    fn fill_regular(&mut self, vpn: VirtPageNum, pfn: PhysFrameNum) -> PageSize {
-        // The walker knows from the PD entry whether the region is
-        // huge-page shaped; the anchor scheme's L2 stores 4 KB, 2 MB and
-        // anchor entries side by side (Table 3).
-        if let Some(head) = self.os.map().huge_page_at_with(vpn, &mut self.walk_cursor) {
-            let head_pfn = PhysFrameNum::new(pfn.as_u64() - (vpn - head));
-            if head_pfn.is_aligned(HUGE_PAGE_PAGES) {
-                self.l2.insert_2m(head, head_pfn);
-                return PageSize::Huge2M;
-            }
-        }
-        self.l2.insert_4k(vpn, pfn);
-        PageSize::Base4K
+        self.0.stage().shootdowns
     }
 }
 
-impl TranslationScheme for AnchorScheme {
-    fn name(&self) -> &str {
-        &self.name
-    }
+impl Deref for AnchorScheme {
+    type Target = Mmu<AnchorStage>;
 
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let latency = self.config.latency;
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.l2.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let d = self.os.distance_for(vpn);
-            let d_log = d.trailing_zeros();
-            let anchor_hit = self.l2.lookup_anchor(vpn, d_log, self.config.indexing);
-            if let Some(hit) = anchor_hit.filter(|h| h.covers(vpn)) {
-                // Table 2 row 2: anchor hit, contiguity match.
-                let pfn = hit.translate(vpn);
-                self.l1.insert(vpn, pfn, PageSize::Base4K);
-                AccessResult {
-                    path: TranslationPath::CoalescedHit,
-                    cycles: latency.coalesced_hit,
-                    pfn: Some(pfn),
-                }
-            } else {
-                // Rows 3–5: page walk. The regular translation goes to the
-                // core first; the anchor PTE fetch is off the critical path.
-                let walk = self.walker.walk(self.os.table(), vpn);
-                match walk.leaf {
-                    Some(leaf) => {
-                        let pfn = leaf.pfn_for(vpn);
-                        if anchor_hit.is_some() {
-                            // Row 3: the anchor was present but did not
-                            // cover the page — only the page's own entry
-                            // can translate it.
-                            self.fill_regular(vpn, pfn);
-                        } else {
-                            let probe = self.os.anchor_probe(vpn);
-                            match probe.filter(|p| p.covers(vpn)) {
-                                Some(p) if self.config.fill == FillPolicy::PreferAnchor => {
-                                    // Row 4: fill only the anchor entry.
-                                    self.l2.insert_anchor(
-                                        p.avpn,
-                                        p.pfn,
-                                        p.contiguity,
-                                        d_log,
-                                        self.config.indexing,
-                                    );
-                                }
-                                _ => {
-                                    // Row 5 (or the ablation policy).
-                                    self.fill_regular(vpn, pfn);
-                                }
-                            }
-                        }
-                        self.l1.insert(vpn, pfn, PageSize::Base4K);
-                        AccessResult {
-                            path: TranslationPath::Walk,
-                            cycles: walk.cycles,
-                            pfn: Some(pfn),
-                        }
-                    }
-                    None => AccessResult {
-                        path: TranslationPath::Fault,
-                        cycles: walk.cycles,
-                        pfn: None,
-                    },
-                }
-            }
-        };
-        self.stats.record(result);
-        result
+    fn deref(&self) -> &Mmu<AnchorStage> {
+        &self.0
     }
+}
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), hytlb_schemes::BatchFault> {
-        hytlb_schemes::run_batch(self, vaddrs)
-    }
-
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
-    }
-
-    fn on_epoch(&mut self) {
-        if self.config.mode != DistanceMode::Dynamic {
-            return;
-        }
-        let outcome = self.os.check_epoch();
-        if outcome.requires_shootdown() {
-            self.flush();
-            self.shootdowns += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-    }
-
-    fn anchor_distance(&self) -> Option<u64> {
-        Some(self.os.distance())
-    }
-
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.l2.geometry());
-        g
+impl DerefMut for AnchorScheme {
+    fn deref_mut(&mut self) -> &mut Mmu<AnchorStage> {
+        &mut self.0
     }
 }
 
@@ -311,7 +278,8 @@ impl TranslationScheme for AnchorScheme {
 mod tests {
     use super::*;
     use hytlb_mem::Scenario;
-    use hytlb_schemes::BaselineScheme;
+    use hytlb_schemes::{BaselineScheme, TranslationPath, TranslationScheme};
+    use hytlb_types::{Cycles, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -372,7 +340,7 @@ mod tests {
         assert_eq!(r.path, TranslationPath::Walk);
         assert_eq!(r.pfn, Some(PhysFrameNum::new(201)));
         // Re-access: regular L2 hit at 7 cycles (not coalesced).
-        s.l1.flush(); // bypass L1 so the L2 path is visible
+        s.flush_l1(); // bypass L1 so the L2 path is visible
         let r2 = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r2.path, TranslationPath::L2RegularHit);
         assert_eq!(r2.cycles, Cycles::new(7));
@@ -392,7 +360,7 @@ mod tests {
         s.access(va(VirtPageNum::new(3)));
         // The regular 4K entry must NOT be in the L2: flush L1, re-access,
         // and observe an anchor (coalesced) hit rather than a regular hit.
-        s.l1.flush();
+        s.flush_l1();
         let r = s.access(va(VirtPageNum::new(3)));
         assert_eq!(r.path, TranslationPath::CoalescedHit);
     }
@@ -413,7 +381,7 @@ mod tests {
         let mut s = AnchorScheme::new(Arc::clone(&map), AnchorConfig::static_distance(8));
         let r = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r.path, TranslationPath::Walk);
-        s.l1.flush();
+        s.flush_l1();
         let r2 = s.access(va(VirtPageNum::new(5)));
         assert_eq!(r2.path, TranslationPath::L2RegularHit);
     }
@@ -423,7 +391,7 @@ mod tests {
         let map = Arc::new(Scenario::MediumContiguity.generate(2048, 7));
         let cfg = AnchorConfig { fill: FillPolicy::AlwaysRegular, ..AnchorConfig::dynamic() };
         let mut s = AnchorScheme::new(Arc::clone(&map), cfg);
-        touch_all(&mut s, &map, 2);
+        touch_all(&mut *s, &map, 2);
         assert_eq!(s.stats().coalesced_hits, 0);
     }
 
@@ -432,7 +400,7 @@ mod tests {
         let map = Arc::new(Scenario::MediumContiguity.generate(8192, 8));
         let mut anchor = AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic());
         let mut base = BaselineScheme::new(Arc::clone(&map), LatencyModel::default());
-        touch_all(&mut anchor, &map, 2);
+        touch_all(&mut *anchor, &map, 2);
         touch_all(&mut base, &map, 2);
         assert!(
             (anchor.stats().walks as f64) < 0.6 * base.stats().walks as f64,
@@ -451,7 +419,7 @@ mod tests {
             AnchorConfig::multi_region(4),
         ] {
             let mut s = AnchorScheme::new(Arc::clone(&map), cfg);
-            touch_all(&mut s, &map, 2);
+            touch_all(&mut *s, &map, 2);
         }
     }
 
@@ -499,7 +467,7 @@ mod tests {
     fn epoch_on_stable_map_is_quiet() {
         let map = Arc::new(Scenario::LowContiguity.generate(1024, 10));
         let mut s = AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic());
-        touch_all(&mut s, &map, 1);
+        touch_all(&mut *s, &map, 1);
         for _ in 0..5 {
             s.on_epoch();
         }
@@ -519,7 +487,7 @@ mod tests {
     fn max_contiguity_with_dynamic_anchor_nearly_eliminates_walks() {
         let map = Arc::new(Scenario::MaxContiguity.generate(32_768, 12));
         let mut s = AnchorScheme::new(Arc::clone(&map), AnchorConfig::dynamic());
-        touch_all(&mut s, &map, 2);
+        touch_all(&mut *s, &map, 2);
         let st = s.stats();
         // A few cold walks per anchor region; everything else coalesced.
         assert!(
@@ -541,7 +509,7 @@ mod tests {
         let mut s = AnchorScheme::new(Arc::clone(&map), cfg);
         let head = map.chunks().next().unwrap().vpn;
         assert_eq!(s.access(va(head)).path, TranslationPath::Walk);
-        s.l1.flush(); // bypass L1 so the L2 2MB entry is observable
+        s.flush_l1(); // bypass L1 so the L2 2MB entry is observable
         let r = s.access(va(head + 300));
         assert_eq!(r.path, TranslationPath::L2RegularHit);
         assert_eq!(r.cycles, Cycles::new(7));

@@ -13,10 +13,12 @@
 //!   anchored page table and the per-process anchor distance; performs the
 //!   periodic epoch check (§3.3/§4.1) with hysteresis, and pays the
 //!   re-anchoring sweep plus full TLB shootdown when the distance changes.
-//! * [`AnchorScheme`] — the hardware lookup flow of Figure 5 / Table 2
-//!   implementing [`TranslationScheme`](hytlb_schemes::TranslationScheme):
-//!   L1 → regular L2 (4 KB, 2 MB) → anchor probe (Figure 6 indexing, extra
-//!   contiguity comparator) → page walk with anchor-aware fill.
+//! * [`AnchorStage`] — the anchor TLB's part of the Figure 5 / Table 2
+//!   lookup flow, run by the shared
+//!   [`Mmu`](hytlb_schemes::Mmu) pipeline: the anchor probe (Figure 6
+//!   indexing, extra contiguity comparator) after the regular 4 KB/2 MB
+//!   probes, and the anchor-aware fill after a walk. [`AnchorScheme`]
+//!   wraps that `Mmu` with the OS model's accessors.
 //! * [`RegionTable`] — the §4.2 multi-region extension (the paper's future
 //!   work): partitions the address space into up to `N` regions with
 //!   per-region anchor distances.
@@ -45,7 +47,9 @@ mod distance;
 mod os;
 mod region;
 
-pub use anchor_scheme::{AnchorConfig, AnchorScheme, DistanceMode, FillPolicy};
+pub use anchor_scheme::{
+    AnchorConfig, AnchorMiss, AnchorScheme, AnchorStage, DistanceMode, FillPolicy,
+};
 pub use distance::{CostModel, DistanceSelector, L2_ENTRY_BUDGET};
 pub use os::{EpochOutcome, OsKernel};
 pub use region::{Region, RegionTable};

@@ -220,9 +220,16 @@ impl AnchoredPageTable {
     }
 }
 
+/// Whether `distance` is a supported anchor distance: a power of two in
+/// `[2, 65536]`.
+#[must_use]
+pub fn is_valid_anchor_distance(distance: u64) -> bool {
+    distance.is_power_of_two() && (2..=65_536).contains(&distance)
+}
+
 fn assert_valid_distance(distance: u64) {
     assert!(
-        distance.is_power_of_two() && (2..=65_536).contains(&distance),
+        is_valid_anchor_distance(distance),
         "anchor distance must be a power of two in [2, 65536], got {distance}"
     );
 }

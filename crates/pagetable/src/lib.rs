@@ -40,7 +40,7 @@ mod pwc;
 mod table;
 mod walker;
 
-pub use anchored::{AnchorProbe, AnchoredPageTable, ReanchorCost};
+pub use anchored::{is_valid_anchor_distance, AnchorProbe, AnchoredPageTable, ReanchorCost};
 pub use pte::{
     read_distributed_contiguity, write_distributed_contiguity, PageTableEntry, ANCHOR_BITS_PER_PTE,
     FLAG_MASKS, MAX_CONTIGUITY,

@@ -12,12 +12,13 @@
 //! `cactusADM` the cluster entries are underutilised while the regular
 //! array thrashes, and misses *increase* versus baseline (Figure 8).
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{L2Stage, Mmu, Probe};
+use crate::scheme::LatencyModel;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{PageTable, PageWalker};
-use hytlb_tlb::{L1Tlb, SetAssocTlb};
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
+use hytlb_pagetable::{LeafEntry, PageTable};
+use hytlb_tlb::{SetAssocTlb, TlbGeometry};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum};
 use std::sync::Arc;
 
 /// Pages per cluster entry (the paper's cluster-8 configuration).
@@ -46,21 +47,18 @@ impl ClusterEntry {
     }
 }
 
-/// The cluster-TLB scheme; `use_2mb` selects the paper's `Cluster-2MB`
-/// variant, which additionally holds 2 MB entries in the regular partition.
+/// The cluster stage: the 320-entry 5-way cluster partition.
 #[derive(Debug)]
-pub struct ClusterScheme {
-    l1: L1Tlb,
-    regular: SharedL2,
+pub struct ClusterStage {
     cluster: SetAssocTlb<ClusterEntry>,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
     use_2mb: bool,
     cluster_fills: u64,
-    _map: Arc<AddressSpaceMap>,
 }
+
+/// The cluster-TLB scheme; `use_2mb` selects the paper's `Cluster-2MB`
+/// variant, which additionally holds 2 MB entries in the regular partition.
+pub type ClusterScheme = Mmu<ClusterStage>;
 
 impl ClusterScheme {
     /// Builds the cluster MMU. With `use_2mb`, THP-shaped regions get 2 MB
@@ -68,37 +66,27 @@ impl ClusterScheme {
     /// as in the original cluster TLB paper.
     #[must_use]
     pub fn new(map: Arc<AddressSpaceMap>, latency: LatencyModel, use_2mb: bool) -> Self {
-        ClusterScheme {
-            l1: L1Tlb::paper_default(),
-            // 768 entries, 6-way = 128 sets.
-            regular: SharedL2::new(128, 6),
+        let stage = ClusterStage {
             // 320 entries, 5-way = 64 sets.
             cluster: SetAssocTlb::new(64, 5),
             table: PageTable::from_map(&map, use_2mb),
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
             use_2mb,
             cluster_fills: 0,
-            _map: map,
-        }
+        };
+        // The regular partition: 768 entries, 6-way = 128 sets.
+        Mmu::from_stage(stage, SharedL2::new(128, 6), latency)
     }
 
     /// Number of cluster entries inserted so far (≥ 2 pages coalesced).
     #[must_use]
     pub fn cluster_fills(&self) -> u64 {
-        self.cluster_fills
+        self.stage().cluster_fills
     }
+}
 
+impl ClusterStage {
     fn cluster_set(&self, vcn: u64) -> usize {
         hytlb_types::usize_from(vcn & (self.cluster.sets() as u64 - 1))
-    }
-
-    fn lookup_cluster(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
-        let vcn = vpn.as_u64() / CLUSTER_SPAN;
-        let sub = hytlb_types::usize_from(vpn.offset_within(CLUSTER_SPAN));
-        let set = self.cluster_set(vcn);
-        self.cluster.lookup(set, vcn).and_then(|e| e.pfn_for(sub))
     }
 
     /// Builds a cluster entry from the PTE cache block around `vpn`,
@@ -118,7 +106,9 @@ impl ClusterScheme {
     }
 }
 
-impl TranslationScheme for ClusterScheme {
+impl L2Stage for ClusterStage {
+    type Miss = ();
+
     fn name(&self) -> &str {
         if self.use_2mb {
             "Cluster-2MB"
@@ -127,109 +117,59 @@ impl TranslationScheme for ClusterScheme {
         }
     }
 
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.regular.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.use_2mb.then(|| self.regular.lookup_2m(vpn)).flatten() {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.lookup_cluster(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let walk = self.walker.walk(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    match leaf.size {
-                        PageSize::Huge2M => {
-                            debug_assert!(self.use_2mb);
-                            self.regular.insert_2m(leaf.head_vpn, leaf.head_pfn);
-                        }
-                        // audit:allow(panic): invariant — from_map never
-                        // builds 1 GB leaves here.
-                        PageSize::Giant1G => unreachable!("no 1GB leaves here"),
-                        PageSize::Base4K => {
-                            let vcn = vpn.as_u64() / CLUSTER_SPAN;
-                            let set = self.cluster_set(vcn);
-                            // A VA group can straddle two physical
-                            // clusters, but only one cluster entry per
-                            // virtual group can live in the array (one
-                            // tag). Keep whichever entry covers more
-                            // pages; the unclusterable side is stored as
-                            // regular 4 KB entries instead of thrashing
-                            // the group's entry back and forth.
-                            let candidate = self.coalesce_block(vpn, pfn);
-                            let existing_cov =
-                                self.cluster.peek(set, vcn).map_or(0, ClusterEntry::coverage);
-                            match candidate {
-                                Some(entry) if entry.coverage() > existing_cov => {
-                                    self.cluster.insert(set, vcn, entry);
-                                    self.cluster_fills += 1;
-                                }
-                                Some(_) | None => self.regular.insert_4k(vpn, pfn),
-                            }
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, leaf.size);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
+    fn holds_2m(&self) -> bool {
+        self.use_2mb
     }
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        let vcn = vpn.as_u64() / CLUSTER_SPAN;
+        let sub = hytlb_types::usize_from(vpn.offset_within(CLUSTER_SPAN));
+        let set = self.cluster_set(vcn);
+        Probe::coalesced(self.cluster.lookup(set, vcn).and_then(|e| e.pfn_for(sub)))
+    }
+
+    fn fill(&mut self, l2: &mut SharedL2, vpn: VirtPageNum, leaf: &LeafEntry, (): ()) {
+        if leaf.size != PageSize::Base4K {
+            return l2.insert_leaf(vpn, leaf);
+        }
+        let pfn = leaf.pfn_for(vpn);
+        let vcn = vpn.as_u64() / CLUSTER_SPAN;
+        let set = self.cluster_set(vcn);
+        // A VA group can straddle two physical clusters, but only one
+        // cluster entry per virtual group can live in the array (one tag).
+        // Keep whichever entry covers more pages; the unclusterable side is
+        // stored as regular 4 KB entries instead of thrashing the group's
+        // entry back and forth.
+        let candidate = self.coalesce_block(vpn, pfn);
+        let existing_cov = self.cluster.peek(set, vcn).map_or(0, ClusterEntry::coverage);
+        match candidate {
+            Some(entry) if entry.coverage() > existing_cov => {
+                self.cluster.insert(set, vcn, entry);
+                self.cluster_fills += 1;
+            }
+            Some(_) | None => l2.insert_4k(vpn, pfn),
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.regular.flush();
         self.cluster.flush();
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.regular.geometry());
-        g.push(self.cluster.geometry("L2 cluster"));
-        g
+    fn geometries(&self, out: &mut Vec<TlbGeometry>) {
+        out.push(self.cluster.geometry("L2 cluster"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BaselineScheme;
+    use crate::{BaselineScheme, TranslationPath, TranslationScheme};
     use hytlb_mem::Scenario;
+    use hytlb_types::VirtAddr;
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -322,7 +262,7 @@ mod tests {
         // The group's entry (coverage 4) is kept; page 4 became a regular
         // 4 KB entry, observable once the L1 is bypassed.
         assert_eq!(s.access(va(VirtPageNum::new(2))).path, TranslationPath::CoalescedHit);
-        s.l1.flush();
+        s.flush_l1();
         assert_eq!(s.access(va(VirtPageNum::new(4))).path, TranslationPath::L2RegularHit);
     }
 

@@ -12,12 +12,13 @@
 //! evaluates the newer cluster TLB), but it is the natural ablation
 //! partner for it: contiguity-based vs clustering-based HW coalescing.
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{L2Stage, Mmu, Probe};
+use crate::scheme::LatencyModel;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkCursor};
-use hytlb_pagetable::{PageTable, PageWalker};
-use hytlb_tlb::{L1Tlb, SetAssocTlb};
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
+use hytlb_pagetable::{LeafEntry, PageTable};
+use hytlb_tlb::{RangeEntry, RangeTlb, SetAssocTlb, TlbGeometry};
+use hytlb_types::{PhysFrameNum, VirtPageNum};
 use std::sync::Arc;
 
 /// Pages per coalescing window.
@@ -42,6 +43,21 @@ impl ColtEntry {
     }
 }
 
+/// The CoLT stage: the coalesced partition and the optional FA structure.
+#[derive(Debug)]
+pub struct ColtStage {
+    coalesced: SetAssocTlb<ColtEntry>,
+    /// CoLT-FA: unbounded-length runs, fully associative (reuses the
+    /// range-TLB structure — the lookup hardware is identical).
+    fa: Option<RangeTlb>,
+    table: PageTable,
+    coalesced_fills: u64,
+    map: Arc<AddressSpaceMap>,
+    /// Last-chunk cache for the FA refill probe; `map` is never mutated
+    /// after construction, so the cursor can never go stale.
+    chunk_cursor: ChunkCursor,
+}
+
 /// The CoLT-SA scheme: a 768-entry 6-way regular partition plus a
 /// 320-entry 5-way coalesced partition (mirroring the paper's cluster
 /// configuration so the two HW-coalescing designs are directly
@@ -50,24 +66,7 @@ impl ColtEntry {
 /// larger number of coalesced contiguous pages ... which in turn restricts
 /// the number of entries available") holds a handful of unbounded
 /// contiguous runs, probed after the set-associative arrays.
-#[derive(Debug)]
-pub struct ColtScheme {
-    l1: L1Tlb,
-    regular: SharedL2,
-    coalesced: SetAssocTlb<ColtEntry>,
-    /// CoLT-FA: unbounded-length runs, fully associative (reuses the
-    /// range-TLB structure — the lookup hardware is identical).
-    fa: Option<hytlb_tlb::RangeTlb>,
-    table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
-    coalesced_fills: u64,
-    map: Arc<AddressSpaceMap>,
-    /// Last-chunk cache for the FA refill probe; `map` is never mutated
-    /// after construction, so the cursor can never go stale.
-    chunk_cursor: ChunkCursor,
-}
+pub type ColtScheme = Mmu<ColtStage>;
 
 impl ColtScheme {
     /// Builds the CoLT-SA MMU (4 KB pages only, like the original
@@ -93,36 +92,27 @@ impl ColtScheme {
     }
 
     fn build(map: Arc<AddressSpaceMap>, latency: LatencyModel, fa: Option<usize>) -> Self {
-        ColtScheme {
-            l1: L1Tlb::paper_default(),
-            regular: SharedL2::new(128, 6),
+        let stage = ColtStage {
             coalesced: SetAssocTlb::new(64, 5),
-            fa: fa.map(hytlb_tlb::RangeTlb::new),
+            fa: fa.map(RangeTlb::new),
             table: PageTable::from_map(&map, false),
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
             coalesced_fills: 0,
             map,
             chunk_cursor: ChunkCursor::default(),
-        }
+        };
+        Mmu::from_stage(stage, SharedL2::new(128, 6), latency)
     }
 
     /// Coalesced entries inserted so far.
     #[must_use]
     pub fn coalesced_fills(&self) -> u64 {
-        self.coalesced_fills
+        self.stage().coalesced_fills
     }
+}
 
+impl ColtStage {
     fn window_set(&self, wdw: u64) -> usize {
         hytlb_types::usize_from(wdw & (self.coalesced.sets() as u64 - 1))
-    }
-
-    fn lookup_coalesced(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
-        let wdw = vpn.as_u64() / WINDOW;
-        let off = vpn.as_u64() % WINDOW;
-        let set = self.window_set(wdw);
-        self.coalesced.lookup(set, wdw).and_then(|e| e.pfn_for(off))
     }
 
     /// Scans the PTE cache block for the maximal contiguous run containing
@@ -161,117 +151,78 @@ impl ColtScheme {
     }
 }
 
-impl TranslationScheme for ColtScheme {
+impl L2Stage for ColtStage {
+    type Miss = ();
+
     fn name(&self) -> &str {
         "CoLT"
     }
 
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.regular.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.lookup_coalesced(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.fa.as_mut().and_then(|fa| fa.lookup(vpn)) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let walk = self.walker.walk(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    let wdw = vpn.as_u64() / WINDOW;
-                    let set = self.window_set(wdw);
-                    let candidate = self.coalesce_run(vpn, pfn);
-                    let existing_len = self.coalesced.peek(set, wdw).map_or(0, |e| e.len);
-                    match candidate {
-                        Some(entry) if entry.len > existing_len => {
-                            self.coalesced.insert(set, wdw, entry);
-                            self.coalesced_fills += 1;
-                        }
-                        Some(_) | None => self.regular.insert_4k(vpn, pfn),
-                    }
-                    // CoLT-FA additionally coalesces the full contiguous
-                    // run (no window bound) when it is long enough to be
-                    // worth one of the few FA slots.
-                    if let Some(fa) = self.fa.as_mut() {
-                        if let Some(chunk) =
-                            self.map.chunk_containing_with(vpn, &mut self.chunk_cursor)
-                        {
-                            if chunk.len > WINDOW {
-                                fa.insert(hytlb_tlb::RangeEntry {
-                                    start_vpn: chunk.vpn,
-                                    start_pfn: chunk.pfn,
-                                    len: chunk.len,
-                                });
-                            }
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, PageSize::Base4K);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
+    fn holds_2m(&self) -> bool {
+        false
     }
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        let wdw = vpn.as_u64() / WINDOW;
+        let set = self.window_set(wdw);
+        let hit = self.coalesced.lookup(set, wdw).and_then(|e| e.pfn_for(vpn.as_u64() % WINDOW));
+        Probe::coalesced(hit.or_else(|| self.fa.as_mut().and_then(|fa| fa.lookup(vpn))))
+    }
+
+    fn fill(&mut self, l2: &mut SharedL2, vpn: VirtPageNum, leaf: &LeafEntry, (): ()) {
+        let pfn = leaf.pfn_for(vpn);
+        let wdw = vpn.as_u64() / WINDOW;
+        let set = self.window_set(wdw);
+        let candidate = self.coalesce_run(vpn, pfn);
+        let existing_len = self.coalesced.peek(set, wdw).map_or(0, |e| e.len);
+        match candidate {
+            Some(entry) if entry.len > existing_len => {
+                self.coalesced.insert(set, wdw, entry);
+                self.coalesced_fills += 1;
+            }
+            Some(_) | None => l2.insert_4k(vpn, pfn),
+        }
+        // CoLT-FA additionally coalesces the full contiguous run (no window
+        // bound) when it is long enough to be worth one of the few FA
+        // slots.
+        if let Some(fa) = self.fa.as_mut() {
+            if let Some(chunk) = self.map.chunk_containing_with(vpn, &mut self.chunk_cursor) {
+                if chunk.len > WINDOW {
+                    fa.insert(RangeEntry {
+                        start_vpn: chunk.vpn,
+                        start_pfn: chunk.pfn,
+                        len: chunk.len,
+                    });
+                }
+            }
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.regular.flush();
         self.coalesced.flush();
         if let Some(fa) = self.fa.as_mut() {
             fa.flush();
         }
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.regular.geometry());
-        g.push(self.coalesced.geometry("L2 CoLT"));
+    fn geometries(&self, out: &mut Vec<TlbGeometry>) {
+        out.push(self.coalesced.geometry("L2 CoLT"));
         if let Some(fa) = self.fa.as_ref() {
-            g.push(fa.geometry("CoLT FA"));
+            out.push(fa.geometry("CoLT FA"));
         }
-        g
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TranslationPath, TranslationScheme};
     use hytlb_mem::Scenario;
-    use hytlb_types::Permissions;
+    use hytlb_types::{Permissions, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -405,7 +356,7 @@ mod tests {
         s.access(va(VirtPageNum::new(0)));
         assert_eq!(s.access(va(VirtPageNum::new(6))).path, TranslationPath::Walk);
         // The 6-run survives; page 3 still coalesced-hits after L1 flush.
-        s.l1.flush();
+        s.flush_l1();
         assert_eq!(s.access(va(VirtPageNum::new(3))).path, TranslationPath::CoalescedHit);
         // Page 6 went regular.
         assert_eq!(s.access(va(VirtPageNum::new(6))).path, TranslationPath::L2RegularHit);

@@ -12,12 +12,13 @@
 //! mapping is shattered into more small chunks than 32 entries can span
 //! (low/medium contiguity).
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{L2Stage, Mmu, Probe};
+use crate::scheme::LatencyModel;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::{AddressSpaceMap, ChunkCursor};
-use hytlb_pagetable::{PageTable, PageWalker};
-use hytlb_tlb::{L1Tlb, RangeEntry, RangeTlb};
-use hytlb_types::{Cycles, PageSize, VirtAddr};
+use hytlb_pagetable::{LeafEntry, PageTable};
+use hytlb_tlb::{RangeEntry, RangeTlb, TlbGeometry};
+use hytlb_types::VirtPageNum;
 use std::sync::Arc;
 
 /// Minimum chunk length (pages) the OS promotes to a range: only regions
@@ -30,21 +31,19 @@ use std::sync::Arc;
 /// eliminates misses.
 const MIN_RANGE_PAGES: u64 = hytlb_types::HUGE_PAGE_PAGES + 1;
 
-/// The RMM scheme.
+/// The RMM stage: the range TLB and the range table it refills from.
 #[derive(Debug)]
-pub struct RmmScheme {
-    l1: L1Tlb,
-    l2: SharedL2,
+pub struct RmmStage {
     ranges: RangeTlb,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
     map: Arc<AddressSpaceMap>,
     /// Last-chunk cache for the walk-path range-table probe; `map` is never
     /// mutated after construction, so the cursor can never go stale.
     chunk_cursor: ChunkCursor,
 }
+
+/// The RMM scheme.
+pub type RmmScheme = Mmu<RmmStage>;
 
 impl RmmScheme {
     /// Builds the RMM MMU with the paper's 32-entry range TLB.
@@ -65,123 +64,71 @@ impl RmmScheme {
         latency: LatencyModel,
         range_entries: usize,
     ) -> Self {
-        RmmScheme {
-            l1: L1Tlb::paper_default(),
-            l2: SharedL2::paper_default(),
+        let stage = RmmStage {
             ranges: RangeTlb::new(range_entries),
             table: PageTable::from_map(&map, true),
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
             map,
             chunk_cursor: ChunkCursor::default(),
-        }
+        };
+        Mmu::from_stage(stage, SharedL2::paper_default(), latency)
     }
 
     /// Live range-TLB entries.
     #[must_use]
     pub fn cached_ranges(&self) -> usize {
-        self.ranges.len()
+        self.stage().ranges.len()
     }
 }
 
-impl TranslationScheme for RmmScheme {
+impl L2Stage for RmmStage {
+    type Miss = ();
+
     fn name(&self) -> &str {
         "RMM"
     }
 
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.l2.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.ranges.lookup(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::CoalescedHit,
-                cycles: self.latency.coalesced_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let walk = self.walker.walk(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    match leaf.size {
-                        PageSize::Base4K => self.l2.insert_4k(vpn, pfn),
-                        PageSize::Huge2M => self.l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
-                        // audit:allow(panic): invariant — from_map never
-                        // builds 1 GB leaves for this scheme.
-                        PageSize::Giant1G => unreachable!("no 1GB leaves here"),
-                    }
-                    // Refill the range TLB from the range table: the chunk
-                    // containing this page, if large enough to be a range.
-                    if let Some(chunk) = self.map.chunk_containing_with(vpn, &mut self.chunk_cursor)
-                    {
-                        if chunk.len >= MIN_RANGE_PAGES {
-                            self.ranges.insert(RangeEntry {
-                                start_vpn: chunk.vpn,
-                                start_pfn: chunk.pfn,
-                                len: chunk.len,
-                            });
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, leaf.size);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
+    fn holds_2m(&self) -> bool {
+        true
     }
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        Probe::coalesced(self.ranges.lookup(vpn))
+    }
+
+    fn fill(&mut self, l2: &mut SharedL2, vpn: VirtPageNum, leaf: &LeafEntry, (): ()) {
+        l2.insert_leaf(vpn, leaf);
+        // Refill the range TLB from the range table: the chunk containing
+        // this page, if large enough to be a range.
+        if let Some(chunk) = self.map.chunk_containing_with(vpn, &mut self.chunk_cursor) {
+            if chunk.len >= MIN_RANGE_PAGES {
+                self.ranges.insert(RangeEntry {
+                    start_vpn: chunk.vpn,
+                    start_pfn: chunk.pfn,
+                    len: chunk.len,
+                });
+            }
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
         self.ranges.flush();
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.l2.geometry());
-        g.push(self.ranges.geometry("Range TLB"));
-        g
+    fn geometries(&self, out: &mut Vec<TlbGeometry>) {
+        out.push(self.ranges.geometry("Range TLB"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TranslationPath, TranslationScheme};
     use hytlb_mem::Scenario;
-    use hytlb_types::VirtPageNum;
+    use hytlb_types::{Cycles, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()

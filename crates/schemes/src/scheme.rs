@@ -140,29 +140,11 @@ pub struct BatchFault {
     pub vaddr: VirtAddr,
 }
 
-/// Drives a batch of accesses through a *concrete* scheme type.
-///
-/// Generic over `S` so the per-access `access` call is statically dispatched
-/// (and inlinable) instead of going through the `dyn TranslationScheme`
-/// vtable; scheme impls forward `access_batch` here to devirtualize their
-/// inner loop. Stops at the first fault, reporting its batch position.
-pub fn run_batch<S: TranslationScheme + ?Sized>(
-    scheme: &mut S,
-    vaddrs: &[VirtAddr],
-) -> Result<(), BatchFault> {
-    for (index, &vaddr) in vaddrs.iter().enumerate() {
-        let result = scheme.access(vaddr);
-        if result.pfn.is_none() {
-            return Err(BatchFault { index, vaddr });
-        }
-    }
-    Ok(())
-}
-
 /// A complete address-translation scheme: L1 TLB + L2 structures + walker.
 ///
-/// Implementations own their TLB state and their view of the page table;
-/// the simulation engine drives them with raw virtual addresses. Schemes
+/// Every scheme is an [`Mmu`](crate::Mmu) around its own
+/// [`L2Stage`](crate::L2Stage); the simulation engine drives it with raw
+/// virtual addresses. Schemes
 /// are `Send` so experiment matrices can run cells on worker threads.
 pub trait TranslationScheme: Send {
     /// Short scheme label as used in the paper's figures ("Base", "THP",
@@ -174,10 +156,10 @@ pub trait TranslationScheme: Send {
 
     /// Translates a batch of virtual addresses, stopping at the first
     /// unmapped one. Statistics accumulate exactly as if each address had
-    /// been passed to [`TranslationScheme::access`] in order — the batch
-    /// form only exists so concrete schemes can run their inner loop
-    /// without a per-access virtual call (see [`run_batch`]). The default
-    /// loops scalar `access`.
+    /// been passed to [`TranslationScheme::access`] in order. The default
+    /// body is monomorphized per implementor, so behind a
+    /// `dyn TranslationScheme` a whole batch costs one virtual call and
+    /// every `access` inside it is statically dispatched.
     fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), BatchFault> {
         for (index, &vaddr) in vaddrs.iter().enumerate() {
             let result = self.access(vaddr);

@@ -13,9 +13,9 @@
 //!   bits) piles every anchor into the sets whose index bits are zero and is
 //!   provided only as an ablation.
 
-use crate::scheme::LatencyModel;
+use hytlb_pagetable::LeafEntry;
 use hytlb_tlb::SetAssocTlb;
-use hytlb_types::{PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, HUGE_PAGE_PAGES};
 
 /// How anchor entries are indexed into the shared array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -185,6 +185,18 @@ impl SharedL2 {
         );
     }
 
+    /// Installs a walked leaf as a regular entry: a 4 KB leaf under `vpn`,
+    /// a 2 MB leaf under its head.
+    pub fn insert_leaf(&mut self, vpn: VirtPageNum, leaf: &LeafEntry) {
+        match leaf.size {
+            PageSize::Base4K => self.insert_4k(vpn, leaf.pfn_for(vpn)),
+            PageSize::Huge2M => self.insert_2m(leaf.head_vpn, leaf.head_pfn),
+            // audit:allow(panic): invariant — only THP-1G builds 1 GB
+            // leaves, and its stage files them in its own array.
+            PageSize::Giant1G => unreachable!("no 1GB entries in the shared L2"),
+        }
+    }
+
     /// Looks up the anchor entry for `vpn` under anchor distance
     /// `1 << distance_log2`. A hit returns the anchor's data whether or not
     /// the contiguity covers `vpn` — the caller implements the Table 2
@@ -230,17 +242,6 @@ impl SharedL2 {
     /// changes, §3.3 "we will invalidate the entire TLB").
     pub fn flush(&mut self) {
         self.tlb.flush();
-    }
-
-    /// The latency a hit in this array costs under `model`, by entry kind:
-    /// regular entries 7 cycles, anchors 8 (extra comparator stage).
-    #[must_use]
-    pub fn hit_latency(model: &LatencyModel, is_anchor: bool) -> hytlb_types::Cycles {
-        if is_anchor {
-            model.coalesced_hit
-        } else {
-            model.l2_hit
-        }
     }
 }
 

@@ -11,29 +11,26 @@
 //! argument: 16 giant entries cover 16 GB — but only in 1 GB-aligned,
 //! fully-contiguous units, which fragmented mappings never provide.
 
-use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
+use crate::mmu::{L2Stage, Mmu, Probe};
+use crate::scheme::LatencyModel;
 use crate::shared_l2::SharedL2;
 use hytlb_mem::AddressSpaceMap;
-use hytlb_pagetable::{PageTable, PageWalker};
-use hytlb_tlb::{L1Tlb, SetAssocTlb};
-use hytlb_types::{
-    Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum, GIANT_PAGE_PAGES, HUGE_PAGE_PAGES,
-};
+use hytlb_pagetable::{LeafEntry, PageTable};
+use hytlb_tlb::{SetAssocTlb, TlbGeometry};
+use hytlb_types::{PageSize, PhysFrameNum, VirtPageNum, GIANT_PAGE_PAGES, HUGE_PAGE_PAGES};
 use std::sync::Arc;
 
-/// THP extended with 1 GB pages and their separate small L2 TLB.
+/// The THP-1G stage: the separate 1 GB-page L2 TLB and the page table with
+/// 1 GB leaves.
 #[derive(Debug)]
-pub struct Thp1GScheme {
-    l1: L1Tlb,
-    l2: SharedL2,
+pub struct Thp1GStage {
     /// The separate 1 GB-page L2 TLB: 16 entries, 4-way (Skylake-class).
     giant: SetAssocTlb<u64>,
     table: PageTable,
-    walker: PageWalker,
-    latency: LatencyModel,
-    stats: SchemeStats,
-    _map: Arc<AddressSpaceMap>,
 }
+
+/// THP extended with 1 GB pages and their separate small L2 TLB.
+pub type Thp1GScheme = Mmu<Thp1GStage>;
 
 impl Thp1GScheme {
     /// Builds the MMU: giant-page-shaped 1 GB regions become 1 GB leaves,
@@ -72,121 +69,73 @@ impl Thp1GScheme {
                 }
             }
         }
-        Thp1GScheme {
-            l1: L1Tlb::paper_default(),
-            l2: SharedL2::paper_default(),
-            giant: SetAssocTlb::new(4, 4),
-            table,
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            _map: map,
-        }
+        let stage = Thp1GStage { giant: SetAssocTlb::new(4, 4), table };
+        Mmu::from_stage(stage, SharedL2::paper_default(), latency)
     }
 
     /// Number of 1 GB leaves the OS installed.
     #[must_use]
     pub fn giant_leaves(&self) -> u64 {
-        self.table.mapped_giant_pages()
-    }
-
-    fn giant_set(&self, head: VirtPageNum) -> usize {
-        head.index_bits(18, (self.giant.sets() as u64) - 1)
-    }
-
-    fn lookup_giant(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
-        let head = vpn.align_down(GIANT_PAGE_PAGES);
-        let set = self.giant_set(head);
-        self.giant.lookup(set, head.as_u64()).map(|&pfn| PhysFrameNum::new(pfn) + (vpn - head))
+        self.stage().table.mapped_giant_pages()
     }
 }
 
-impl TranslationScheme for Thp1GScheme {
+impl Thp1GStage {
+    fn giant_set(&self, head: VirtPageNum) -> usize {
+        head.index_bits(18, (self.giant.sets() as u64) - 1)
+    }
+}
+
+impl L2Stage for Thp1GStage {
+    type Miss = ();
+
     fn name(&self) -> &str {
         "THP-1G"
     }
 
-    fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
-        let vpn = vaddr.page_number();
-        let result = if let Some(pfn) = self.l1.lookup(vpn) {
-            AccessResult { path: TranslationPath::L1Hit, cycles: Cycles::ZERO, pfn: Some(pfn) }
-        } else if let Some(pfn) = self.l2.lookup_4k(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Base4K);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.l2.lookup_2m(vpn) {
-            self.l1.insert(vpn, pfn, PageSize::Huge2M);
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else if let Some(pfn) = self.lookup_giant(vpn) {
-            // The separate 1 GB TLB is probed in parallel with the shared
-            // L2; a hit costs the same 7 cycles.
-            AccessResult {
-                path: TranslationPath::L2RegularHit,
-                cycles: self.latency.l2_hit,
-                pfn: Some(pfn),
-            }
-        } else {
-            let walk = self.walker.walk(&self.table, vpn);
-            match walk.leaf {
-                Some(leaf) => {
-                    let pfn = leaf.pfn_for(vpn);
-                    match leaf.size {
-                        PageSize::Base4K => self.l2.insert_4k(vpn, pfn),
-                        PageSize::Huge2M => self.l2.insert_2m(leaf.head_vpn, leaf.head_pfn),
-                        PageSize::Giant1G => {
-                            let set = self.giant_set(leaf.head_vpn);
-                            self.giant.insert(set, leaf.head_vpn.as_u64(), leaf.head_pfn.as_u64());
-                        }
-                    }
-                    self.l1.insert(vpn, pfn, leaf.size);
-                    AccessResult {
-                        path: TranslationPath::Walk,
-                        cycles: walk.cycles,
-                        pfn: Some(pfn),
-                    }
-                }
-                None => {
-                    AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None }
-                }
-            }
-        };
-        self.stats.record(result);
-        result
+    fn holds_2m(&self) -> bool {
+        true
     }
 
-    fn access_batch(&mut self, vaddrs: &[VirtAddr]) -> Result<(), crate::scheme::BatchFault> {
-        crate::scheme::run_batch(self, vaddrs)
+    fn table(&self) -> &PageTable {
+        &self.table
     }
 
-    fn stats(&self) -> &SchemeStats {
-        &self.stats
+    /// The separate 1 GB TLB is probed in parallel with the shared L2; a
+    /// hit costs the same 7 cycles, and the L1 has no 1 GB array to fill.
+    fn probe(&mut self, _: &mut SharedL2, vpn: VirtPageNum) -> Probe<()> {
+        let head = vpn.align_down(GIANT_PAGE_PAGES);
+        let set = self.giant_set(head);
+        match self.giant.lookup(set, head.as_u64()) {
+            Some(&pfn) => Probe::Regular(PhysFrameNum::new(pfn) + (vpn - head), PageSize::Giant1G),
+            None => Probe::Miss(()),
+        }
+    }
+
+    fn fill(&mut self, l2: &mut SharedL2, vpn: VirtPageNum, leaf: &LeafEntry, (): ()) {
+        match leaf.size {
+            PageSize::Giant1G => {
+                let set = self.giant_set(leaf.head_vpn);
+                self.giant.insert(set, leaf.head_vpn.as_u64(), leaf.head_pfn.as_u64());
+            }
+            PageSize::Base4K | PageSize::Huge2M => l2.insert_leaf(vpn, leaf),
+        }
     }
 
     fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
         self.giant.flush();
     }
 
-    fn geometries(&self) -> Vec<hytlb_tlb::TlbGeometry> {
-        let mut g = self.l1.geometries();
-        g.push(self.l2.geometry());
-        g.push(self.giant.geometry("L2 1GB"));
-        g
+    fn geometries(&self, out: &mut Vec<TlbGeometry>) {
+        out.push(self.giant.geometry("L2 1GB"));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hytlb_types::Permissions;
+    use crate::{TranslationPath, TranslationScheme};
+    use hytlb_types::{Permissions, VirtAddr};
 
     fn va(vpn: VirtPageNum) -> VirtAddr {
         vpn.base_addr()
@@ -237,7 +186,7 @@ mod tests {
         let map = Arc::new(m);
         let s = Thp1GScheme::new(Arc::clone(&map), LatencyModel::default());
         assert_eq!(s.giant_leaves(), 0);
-        assert_eq!(s.table.mapped_huge_pages(), 512);
+        assert_eq!(s.stage().table.mapped_huge_pages(), 512);
     }
 
     #[test]
@@ -252,7 +201,7 @@ mod tests {
     #[test]
     fn giant_tlb_capacity_is_sixteen() {
         let s = Thp1GScheme::new(giant_map(1), LatencyModel::default());
-        assert_eq!(s.giant.capacity(), 16);
+        assert_eq!(s.stage().giant.capacity(), 16);
     }
 
     #[test]

@@ -158,34 +158,32 @@ impl SchemeKind {
         }
     }
 
-    /// Builds the scheme over a mapping.
+    /// Builds the scheme over a mapping — the only scheme constructor the
+    /// engine uses.
     #[must_use]
     pub fn build(
         self,
         map: &Arc<AddressSpaceMap>,
         config: &PaperConfig,
     ) -> Box<dyn TranslationScheme> {
+        let map = Arc::clone(map);
         let latency = config.latency;
+        let anchor = |cfg: AnchorConfig| -> Box<dyn TranslationScheme> {
+            Box::new(
+                AnchorScheme::new(Arc::clone(&map), AnchorConfig { latency, ..cfg }).into_mmu(),
+            )
+        };
         match self {
-            SchemeKind::Baseline => Box::new(BaselineScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Thp => Box::new(ThpScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Thp1G => Box::new(Thp1GScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Cluster => Box::new(ClusterScheme::new(Arc::clone(map), latency, false)),
-            SchemeKind::Cluster2Mb => Box::new(ClusterScheme::new(Arc::clone(map), latency, true)),
-            SchemeKind::Colt => Box::new(ColtScheme::new(Arc::clone(map), latency)),
-            SchemeKind::Rmm => Box::new(RmmScheme::new(Arc::clone(map), latency)),
-            SchemeKind::AnchorDynamic => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::dynamic() };
-                Box::new(AnchorScheme::new(Arc::clone(map), cfg))
-            }
-            SchemeKind::AnchorStatic(d) => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::static_distance(d) };
-                Box::new(AnchorScheme::new(Arc::clone(map), cfg))
-            }
-            SchemeKind::AnchorMultiRegion(n) => {
-                let cfg = AnchorConfig { latency, ..AnchorConfig::multi_region(n) };
-                Box::new(AnchorScheme::new(Arc::clone(map), cfg))
-            }
+            SchemeKind::Baseline => Box::new(BaselineScheme::new(map, latency)),
+            SchemeKind::Thp => Box::new(ThpScheme::new(map, latency)),
+            SchemeKind::Thp1G => Box::new(Thp1GScheme::new(map, latency)),
+            SchemeKind::Cluster => Box::new(ClusterScheme::new(map, latency, false)),
+            SchemeKind::Cluster2Mb => Box::new(ClusterScheme::new(map, latency, true)),
+            SchemeKind::Colt => Box::new(ColtScheme::new(map, latency)),
+            SchemeKind::Rmm => Box::new(RmmScheme::new(map, latency)),
+            SchemeKind::AnchorDynamic => anchor(AnchorConfig::dynamic()),
+            SchemeKind::AnchorStatic(d) => anchor(AnchorConfig::static_distance(d)),
+            SchemeKind::AnchorMultiRegion(n) => anchor(AnchorConfig::multi_region(n)),
         }
     }
 }

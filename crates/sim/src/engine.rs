@@ -1,7 +1,6 @@
 //! The machine: a translation scheme driven by a logical-address trace.
 
 use crate::config::{PaperConfig, SchemeKind};
-use crate::dispatch::SchemeDispatch;
 use crate::error::SimError;
 use hytlb_mem::{AddressSpaceMap, PageIndex};
 use hytlb_schemes::{SchemeStats, TranslationScheme};
@@ -9,8 +8,8 @@ use hytlb_types::{VirtAddr, PAGE_SIZE_U64};
 use std::sync::Arc;
 
 /// Accesses per chunk of the batched resolved-trace loop: large enough to
-/// amortize the per-chunk dispatch and epoch/flush bookkeeping, small enough
-/// that a chunk's addresses stay cache-resident.
+/// amortize the per-chunk virtual call and epoch/flush bookkeeping, small
+/// enough that a chunk's addresses stay cache-resident.
 const RESOLVED_BATCH: u64 = 4096;
 
 /// Translation-CPI contributions, as stacked in Figures 10–11.
@@ -80,7 +79,7 @@ impl RunStats {
 /// A scheme plus the placement layer that turns logical trace addresses
 /// into virtual addresses of the mapping under test.
 pub struct Machine {
-    scheme: SchemeDispatch,
+    scheme: Box<dyn TranslationScheme>,
     index: Arc<PageIndex>,
     config: PaperConfig,
 }
@@ -101,7 +100,7 @@ impl Machine {
     #[must_use]
     pub fn for_scheme(kind: SchemeKind, map: &Arc<AddressSpaceMap>, config: &PaperConfig) -> Self {
         Machine {
-            scheme: SchemeDispatch::build(kind, map, config),
+            scheme: kind.build(map, config),
             index: Arc::new(map.page_index()),
             config: *config,
         }
@@ -122,11 +121,7 @@ impl Machine {
         config: &PaperConfig,
     ) -> Self {
         assert_eq!(index.len(), map.mapped_pages(), "page index does not match the mapping");
-        Machine {
-            scheme: SchemeDispatch::build(kind, map, config),
-            index: Arc::clone(index),
-            config: *config,
-        }
+        Machine { scheme: kind.build(map, config), index: Arc::clone(index), config: *config }
     }
 
     /// Builds a machine around an existing scheme (used for ablations that
@@ -137,17 +132,13 @@ impl Machine {
         map: &Arc<AddressSpaceMap>,
         config: &PaperConfig,
     ) -> Self {
-        Machine {
-            scheme: SchemeDispatch::Boxed(scheme),
-            index: Arc::new(map.page_index()),
-            config: *config,
-        }
+        Machine { scheme, index: Arc::new(map.page_index()), config: *config }
     }
 
     /// The underlying scheme.
     #[must_use]
     pub fn scheme(&self) -> &dyn TranslationScheme {
-        &self.scheme
+        &*self.scheme
     }
 
     /// Drives a logical-address trace through the MMU. Logical addresses
@@ -237,8 +228,8 @@ impl Machine {
     /// Drives a *pre-resolved* virtual-address trace through the MMU in
     /// chunks, skipping the per-access placement math of [`Machine::run`]
     /// (see [`hytlb_mem::PageIndex::resolve`]) and the per-access virtual
-    /// call (each chunk runs through the scheme's monomorphized batch
-    /// loop). Bit-identical to `run` over the logical trace that produced
+    /// call (each chunk is one virtual `access_batch` call into the
+    /// scheme's monomorphized loop). Bit-identical to `run` over the logical trace that produced
     /// `resolved`.
     ///
     /// # Panics

@@ -5,9 +5,11 @@
 //! * [`PaperConfig`] — the evaluation configuration of Table 3 (latencies,
 //!   epoch length, trace length, seeds).
 //! * [`SchemeKind`] — the registry of translation schemes compared in the
-//!   paper, each buildable against any mapping.
+//!   paper; [`SchemeKind::build`] is the one constructor, returning the
+//!   scheme's `Mmu` pipeline as a `Box<dyn TranslationScheme>`.
 //! * [`Machine`] — a scheme plus the logical-address placement layer;
-//!   drives a trace through the MMU and collects [`RunStats`].
+//!   drives a trace through the MMU and collects [`RunStats`]. The batched
+//!   loop costs one virtual call per chunk of up to 4,096 accesses.
 //! * [`experiment`] — the evaluation matrix building blocks (mapping and
 //!   trace generation, suites, static-ideal sweeps) plus the serial
 //!   reference driver.
@@ -38,7 +40,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod dispatch;
 mod engine;
 mod error;
 pub mod experiment;
@@ -46,7 +47,6 @@ pub mod matrix;
 pub mod report;
 
 pub use config::{PaperConfig, SchemeKind};
-pub use dispatch::SchemeDispatch;
 pub use engine::{CpiBreakdown, Machine, RunStats};
 pub use error::SimError;
 pub use matrix::{run_matrix, try_run_matrix, MatrixCache};

@@ -5,6 +5,7 @@
 //! hytlb --list
 //! ```
 
+use hytlb::pagetable::is_valid_anchor_distance;
 use hytlb::prelude::*;
 use hytlb::sim::experiment::{mapping_for, trace_for};
 use hytlb::trace::WorkloadKind;
@@ -30,7 +31,7 @@ fn parse_scheme(name: &str) -> Option<SchemeKind> {
         "regions" => SchemeKind::AnchorMultiRegion(8),
         other => {
             let d: u64 = other.strip_prefix("anchor-d")?.parse().ok()?;
-            SchemeKind::AnchorStatic(d)
+            SchemeKind::AnchorStatic(is_valid_anchor_distance(d).then_some(d)?)
         }
     })
 }
@@ -54,7 +55,8 @@ fn main() {
                 println!("workloads: {}", WorkloadKind::all().map(|w| w.label()).join(" "));
                 println!("scenarios: {}", Scenario::all().map(|s| s.label()).join(" "));
                 println!(
-                    "schemes:   base thp cluster cluster-2mb colt rmm dynamic regions anchor-d<N>"
+                    "schemes:   base thp cluster cluster-2mb colt rmm dynamic regions anchor-d<N> \
+                     (N a power of two in [2, 65536])"
                 );
                 return;
             }

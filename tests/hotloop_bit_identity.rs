@@ -21,7 +21,7 @@ fn all_kinds() -> Vec<SchemeKind> {
     let mut kinds = SchemeKind::paper_set().to_vec();
     kinds.extend([
         SchemeKind::Thp1G,
-        SchemeKind::Cluster2Mb,
+        SchemeKind::Colt,
         SchemeKind::AnchorStatic(16),
         SchemeKind::AnchorMultiRegion(4),
     ]);
