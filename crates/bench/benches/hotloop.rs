@@ -1,5 +1,5 @@
-//! Single-cell hot-loop throughput: the devirtualized, batched, pre-resolved
-//! inner loop against the boxed scalar path it replaced, per scheme.
+//! Single-cell hot-loop throughput: the batched, pre-resolved inner loop
+//! against the scalar path it replaced, per scheme.
 //!
 //! For one (workload, scenario) cell this times two ways of running the same
 //! trace through every paper scheme:
@@ -9,8 +9,8 @@
 //!   rebuilding its own placement index (one virtual call per access, plus
 //!   logical→virtual resolution inline).
 //! * **batched/resolved** — the optimized shape: the trace resolved to
-//!   virtual addresses once, then replayed through the enum-dispatched
-//!   `access_batch` chunks with a shared placement index.
+//!   virtual addresses once, then replayed through `access_batch` chunks
+//!   (one virtual call per chunk) with a shared placement index.
 //!
 //! Both runs must produce bit-identical stats; the bench asserts it.
 //! Results go to `results/BENCH_hotloop.{txt,json}` with per-scheme and
@@ -70,7 +70,7 @@ fn main() {
         let scalar_stats = boxed.try_run(trace.iter().copied()).expect("mapped trace");
         let scalar_s = scalar_start.elapsed().as_secs_f64();
 
-        // The optimized shape: enum dispatch, batched loop, shared inputs.
+        // The optimized shape: batched loop, shared inputs.
         let mut machine = Machine::for_scheme_indexed(kind, &map, &index, &config);
         let batched_start = Instant::now();
         let batched_stats = machine.try_run_resolved(&resolved).expect("mapped trace");

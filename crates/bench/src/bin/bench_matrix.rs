@@ -11,7 +11,7 @@
 //!    here as the speedup baseline);
 //! 2. **serial reference** — today's
 //!    [`run_suite_serial`](hytlb_sim::experiment::run_suite_serial):
-//!    enum-dispatched schemes, shared per-row index, still the scalar loop;
+//!    shared per-row index, still the scalar loop;
 //! 3. **parallel batched** — [`run_matrix`](hytlb_sim::run_matrix): memoized
 //!    inputs, pre-resolved traces and the chunked `access_batch` loop.
 //!
