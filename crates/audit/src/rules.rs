@@ -1,4 +1,4 @@
-//! The repo-specific lint rules (R1–R5) and the allowlist machinery.
+//! The repo-specific lint rules (R1–R6) and the allowlist machinery.
 //!
 //! Every rule works on the token stream of one file plus the file's
 //! workspace-relative path, which decides which rules apply:
@@ -20,6 +20,10 @@
 //!   (`crates/core/src/anchor_scheme.rs`): adding a scheme, page size or
 //!   fill policy must be a compile error at every dispatch site, not a
 //!   silent fall-through.
+//! * **`panic-wrapper` (R6)** — no `unwrap_or_else(|…| panic!(…))` in
+//!   library code (everything outside `src/bin/`, `crates/*/src/bin/`,
+//!   `benches/`, `examples/` and `tests/`): a fallible entry point is
+//!   exposed once, as `try_*`, and only a binary's `main` decides to die.
 //!
 //! A finding is suppressed by `// audit:allow(<rule>): <why>` on the same
 //! line, or on its own comment line (possibly the first of several
@@ -29,7 +33,7 @@ use crate::lexer::{tokenize, Token, TokenKind};
 use std::collections::HashSet;
 use std::fmt;
 
-/// The five audit rules.
+/// The six audit rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// R1: raw integer `as` cast on an address-domain value.
@@ -42,6 +46,8 @@ pub enum Rule {
     Determinism,
     /// R5: `_` wildcard match arm in the scheme stages.
     WildcardMatch,
+    /// R6: a panicking wrapper around a fallible call in library code.
+    PanicWrapper,
 }
 
 impl Rule {
@@ -54,6 +60,7 @@ impl Rule {
             Rule::CrateAttrs => "crate-attrs",
             Rule::Determinism => "determinism",
             Rule::WildcardMatch => "wildcard-match",
+            Rule::PanicWrapper => "panic-wrapper",
         }
     }
 }
@@ -111,6 +118,9 @@ pub fn check_file(rel_path: &str, source: &str) -> Vec<Finding> {
     if scope.check_wildcards {
         rule_wildcard(rel_path, &tokens, &in_test, &mut findings);
     }
+    if scope.check_panic_wrappers {
+        rule_panic_wrapper(rel_path, &tokens, &in_test, &mut findings);
+    }
 
     let allows = allowed_lines(&tokens);
     findings.retain(|f| !allows.contains(&(f.rule, f.line)));
@@ -142,6 +152,7 @@ struct Scope {
     check_casts: bool,
     check_panics: bool,
     check_wildcards: bool,
+    check_panic_wrappers: bool,
     allow_instant: bool,
 }
 
@@ -151,6 +162,7 @@ impl Scope {
             || rel_path.starts_with("tests/")
             || rel_path.contains("/benches/")
             || rel_path.starts_with("examples/");
+        let is_bin = rel_path.starts_with("src/bin/") || rel_path.contains("/src/bin/");
         let in_src = |cr: &str| rel_path.starts_with(&format!("crates/{cr}/src/"));
         // The anchor stage's probe and fill run on every access, like the
         // scheme crate's stages.
@@ -163,6 +175,7 @@ impl Scope {
                     || in_src("schemes")
                     || is_anchor_stage),
             check_wildcards: !is_test_file && (in_src("schemes") || is_anchor_stage),
+            check_panic_wrappers: !is_test_file && !is_bin,
             allow_instant: rel_path.starts_with("crates/bench/"),
         }
     }
@@ -246,9 +259,16 @@ fn parse_allow(comment: &str) -> Option<Rule> {
     let body = comment.trim_start_matches('/').trim_start();
     let rest = body.strip_prefix("audit:allow(")?;
     let name = rest.split(')').next()?;
-    [Rule::Cast, Rule::Panic, Rule::CrateAttrs, Rule::Determinism, Rule::WildcardMatch]
-        .into_iter()
-        .find(|r| r.name() == name)
+    [
+        Rule::Cast,
+        Rule::Panic,
+        Rule::CrateAttrs,
+        Rule::Determinism,
+        Rule::WildcardMatch,
+        Rule::PanicWrapper,
+    ]
+    .into_iter()
+    .find(|r| r.name() == name)
 }
 
 /// Inner attribute bodies (`forbid(unsafe_code)`, …) at the top of a
@@ -499,6 +519,44 @@ fn rule_wildcard(
                 message: "`_ =>` wildcard arm; spell out the remaining variants \
                           so new schemes fail to compile here instead of \
                           falling through"
+                    .to_owned(),
+            });
+        }
+    }
+}
+
+/// R6: `unwrap_or_else(|…| panic!(…))` — a closure (of any parameters,
+/// optionally braced) whose body starts with `panic!`.
+fn rule_panic_wrapper(
+    rel_path: &str,
+    tokens: &[Token<'_>],
+    in_test: &dyn Fn(usize) -> bool,
+    findings: &mut Vec<Finding>,
+) {
+    let code: Vec<(usize, &Token<'_>)> =
+        tokens.iter().enumerate().filter(|(_, t)| t.kind != TokenKind::Comment).collect();
+    for (n, &(i, t)) in code.iter().enumerate() {
+        if in_test(i) || !t.is_ident("unwrap_or_else") {
+            continue;
+        }
+        let at = |k: usize| code.get(n + k).map(|&(_, t)| t);
+        if !(at(1).is_some_and(|t| t.is_punct('(')) && at(2).is_some_and(|t| t.is_punct('|'))) {
+            continue;
+        }
+        // Skip the closure's parameter list to its closing `|`.
+        let Some(close) = (3..).find(|&k| at(k).is_none_or(|t| t.is_punct('|'))) else {
+            continue;
+        };
+        let body = close + 1 + usize::from(at(close + 1).is_some_and(|t| t.is_punct('{')));
+        if at(body).is_some_and(|t| t.is_ident("panic"))
+            && at(body + 1).is_some_and(|t| t.is_punct('!'))
+        {
+            findings.push(Finding {
+                rule: Rule::PanicWrapper,
+                file: rel_path.to_owned(),
+                line: t.line,
+                message: "`unwrap_or_else(|…| panic!(…))` in library code; return the \
+                          error and let the binary's `main` decide to exit"
                     .to_owned(),
             });
         }

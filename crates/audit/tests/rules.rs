@@ -197,6 +197,54 @@ fn wildcard_rule_honors_allow_comment() {
     assert!(check_file(SCHEME_PATH, src).is_empty());
 }
 
+// ------------------------------------------------------ R6 panic-wrapper
+
+#[test]
+fn panic_wrapper_rule_trips_on_panicking_wrappers_in_library_code() {
+    for snippet in [
+        "pub fn run(&self) -> Stats { self.try_run().unwrap_or_else(|e| panic!(\"{e}\")) }",
+        "pub fn f(x: Option<u32>) -> u32 { x.unwrap_or_else(|| panic!(\"missing\")) }",
+        "pub fn f(x: Result<u32, E>) -> u32 { x.unwrap_or_else(|_| { panic!(\"bad\") }) }",
+    ] {
+        let findings = check_file("crates/sim/src/matrix.rs", snippet);
+        assert_eq!(rules_hit(&findings), vec![Rule::PanicWrapper], "snippet: {snippet}");
+    }
+    // Library code anywhere: the facade crate and non-hot-path modules too.
+    let src = "pub fn f(x: Result<u32, E>) -> u32 { x.unwrap_or_else(|e| panic!(\"{e}\")) }\n";
+    assert_eq!(rules_hit(&check_file("src/lib.rs", src)), vec![Rule::PanicWrapper]);
+    assert_eq!(rules_hit(&check_file("crates/bench/src/lib.rs", src)), vec![Rule::PanicWrapper]);
+}
+
+#[test]
+fn panic_wrapper_rule_passes_fallbacks_and_non_library_code() {
+    // A closure that computes a fallback, or exits with usage, is fine.
+    let fallback = "pub fn f(x: Option<u32>) -> u32 { x.unwrap_or_else(|| 0) }\n\
+                    pub fn g(x: Result<u32, E>) -> u32 { x.unwrap_or_else(|e| usage(e)) }\n";
+    assert!(check_file("crates/sim/src/matrix.rs", fallback).is_empty());
+    // Binaries, benches, examples, tests and cfg(test) modules may die.
+    let src = "fn main() { let c = parse().unwrap_or_else(|e| panic!(\"{e}\")); }\n";
+    for path in [
+        "src/bin/hytlb.rs",
+        "crates/bench/src/bin/fig07_demand.rs",
+        "crates/bench/benches/hotloop.rs",
+        "examples/quickstart.rs",
+        "tests/common/mod.rs",
+    ] {
+        assert!(check_file(path, src).is_empty(), "{path}");
+    }
+    let tested = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}\n");
+    assert!(check_file("crates/sim/src/matrix.rs", &tested).is_empty());
+}
+
+#[test]
+fn panic_wrapper_rule_honors_allow_comment() {
+    let src = "pub fn f(x: Result<u32, E>) -> u32 {\n\
+               // audit:allow(panic-wrapper): fixture.\n\
+               x.unwrap_or_else(|e| panic!(\"{e}\"))\n\
+               }\n";
+    assert!(check_file("crates/sim/src/matrix.rs", src).is_empty());
+}
+
 // ------------------------------------------------------------ allowlist
 
 #[test]

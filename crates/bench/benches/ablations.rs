@@ -33,7 +33,8 @@ fn indexing(c: &mut Criterion) {
                 let cfg = AnchorConfig { indexing, ..AnchorConfig::dynamic() };
                 let scheme = AnchorScheme::new(Arc::clone(&map), cfg);
                 Machine::from_scheme(Box::new(scheme.into_mmu()), &map, &config)
-                    .run(trace.iter().copied())
+                    .try_run(trace.iter().copied())
+                    .expect("mapped trace")
                     .tlb_misses()
             });
         });
@@ -60,7 +61,8 @@ fn fill_policy(c: &mut Criterion) {
                 let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
                 let scheme = AnchorScheme::new(Arc::clone(&map), cfg);
                 Machine::from_scheme(Box::new(scheme.into_mmu()), &map, &config)
-                    .run(trace.iter().copied())
+                    .try_run(trace.iter().copied())
+                    .expect("mapped trace")
                     .tlb_misses()
             });
         });

@@ -1,20 +1,13 @@
-//! Single-cell hot-loop throughput: the batched, pre-resolved inner loop
-//! against the scalar path it replaced, per scheme.
+//! Single-cell hot-loop throughput of the run loop, per scheme.
 //!
-//! For one (workload, scenario) cell this times two ways of running the same
-//! trace through every paper scheme:
+//! For one (workload, scenario) cell the trace is resolved to virtual
+//! addresses once, then replayed through every paper scheme with
+//! [`Machine::try_run_resolved`]: `access_batch` chunks of up to 4,096
+//! accesses, one virtual call per chunk, over a shared placement index.
+//! Each scheme's time is the minimum of three runs on a fresh machine.
 //!
-//! * **scalar/boxed** — the pre-optimization shape: a `Box<dyn
-//!   TranslationScheme>` behind the scalar per-access loop, with the machine
-//!   rebuilding its own placement index (one virtual call per access, plus
-//!   logical→virtual resolution inline).
-//! * **batched/resolved** — the optimized shape: the trace resolved to
-//!   virtual addresses once, then replayed through `access_batch` chunks
-//!   (one virtual call per chunk) with a shared placement index.
-//!
-//! Both runs must produce bit-identical stats; the bench asserts it.
 //! Results go to `results/BENCH_hotloop.{txt,json}` with per-scheme and
-//! aggregate `accesses_per_sec`.
+//! aggregate `accesses_per_sec`. The loop runs on one thread.
 //!
 //! ```sh
 //! cargo bench -p hytlb-bench --bench hotloop
@@ -28,12 +21,8 @@ use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-scheme measurement: wall-clock seconds for both loop shapes.
-struct Row {
-    label: String,
-    scalar_s: f64,
-    batched_s: f64,
-}
+/// Timed runs per scheme; the minimum is reported.
+const ROUNDS: usize = 3;
 
 fn main() {
     // `cargo bench` appends harness flags (`--bench`); only `--quick` is
@@ -46,6 +35,8 @@ fn main() {
     };
     let workload = WorkloadKind::Canneal;
     let scenario = Scenario::MediumContiguity;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let fingerprint = config.fingerprint();
 
     let footprint = config.footprint_for(workload);
     let map = Arc::new(scenario.generate(footprint, config.seed));
@@ -62,76 +53,48 @@ fn main() {
         config.accesses
     );
 
-    let mut rows = Vec::new();
-    for kind in SchemeKind::paper_set() {
-        // The pre-optimization shape: boxed scheme, scalar loop, private index.
-        let mut boxed = Machine::from_scheme(kind.build(&map, &config), &map, &config);
-        let scalar_start = Instant::now();
-        let scalar_stats = boxed.try_run(trace.iter().copied()).expect("mapped trace");
-        let scalar_s = scalar_start.elapsed().as_secs_f64();
-
-        // The optimized shape: batched loop, shared inputs.
-        let mut machine = Machine::for_scheme_indexed(kind, &map, &index, &config);
-        let batched_start = Instant::now();
-        let batched_stats = machine.try_run_resolved(&resolved).expect("mapped trace");
-        let batched_s = batched_start.elapsed().as_secs_f64();
-
-        assert_eq!(batched_stats, scalar_stats, "{kind}: batched loop must be bit-identical");
-        rows.push(Row { label: kind.label(), scalar_s, batched_s });
-    }
-
     let accesses = config.accesses as f64;
-    let total_scalar: f64 = rows.iter().map(|r| r.scalar_s).sum();
-    let total_batched: f64 = rows.iter().map(|r| r.batched_s).sum();
-    let mut text = format!(
-        "{:<10} {:>12} {:>12} {:>9}  {:>14}\n",
-        "scheme", "scalar (s)", "batched (s)", "speedup", "batched acc/s"
-    );
+    let mut text = format!("{:<12} {:>12}  {:>14}\n", "scheme", "seconds", "accesses/s");
     let mut schemes_json = Vec::new();
-    for row in &rows {
-        let speedup = row.scalar_s / row.batched_s.max(1e-9);
-        let aps = accesses / row.batched_s.max(1e-9);
-        text.push_str(&format!(
-            "{:<10} {:>12.3} {:>12.3} {:>8.2}x  {:>12.1} M\n",
-            row.label,
-            row.scalar_s,
-            row.batched_s,
-            speedup,
-            aps / 1e6
-        ));
+    let mut total_s = 0.0;
+    for kind in SchemeKind::paper_set() {
+        let mut best_s = f64::INFINITY;
+        for _ in 0..ROUNDS {
+            let mut machine = Machine::for_scheme_indexed(kind, &map, &index, &config);
+            let start = Instant::now();
+            machine.try_run_resolved(&resolved).expect("mapped trace");
+            best_s = best_s.min(start.elapsed().as_secs_f64());
+        }
+        total_s += best_s;
+        let aps = accesses / best_s.max(1e-9);
+        text.push_str(&format!("{:<12} {best_s:>12.3}  {:>12.1} M\n", kind.label(), aps / 1e6));
         schemes_json.push(serde_json::json!({
-            "scheme": row.label,
-            "scalar_seconds": row.scalar_s,
-            "batched_seconds": row.batched_s,
-            "speedup": speedup,
-            "accesses_per_sec": serde_json::json!({
-                "scalar": accesses / row.scalar_s.max(1e-9),
-                "batched": aps,
-            }),
+            "scheme": kind.label(),
+            "seconds": best_s,
+            "accesses_per_sec": aps,
         }));
     }
-    let agg_speedup = total_scalar / total_batched.max(1e-9);
-    let agg_scalar_aps = accesses * rows.len() as f64 / total_scalar.max(1e-9);
-    let agg_batched_aps = accesses * rows.len() as f64 / total_batched.max(1e-9);
+
+    let schemes = SchemeKind::paper_set().len() as f64;
+    let agg_aps = accesses * schemes / total_s.max(1e-9);
     text.push_str(&format!(
         "\ntrace resolution (once per cell): {resolve_s:.3} s\n\
-         aggregate: {total_scalar:.2} s scalar vs {total_batched:.2} s batched \
-         ({agg_speedup:.2}x, {:.1} M accesses/s)\n\
-         bit-identical to scalar reference: yes\n",
-        agg_batched_aps / 1e6
+         aggregate: {total_s:.2} s ({:.1} M accesses/s) on 1 thread of {cores} available cores\n\
+         config fingerprint: {fingerprint:#018x}\n",
+        agg_aps / 1e6
     ));
     let json = serde_json::json!({
         "workload": workload.to_string(),
         "scenario": scenario.to_string(),
         "accesses": config.accesses,
+        "threads": 1,
+        "available_cores": cores,
+        "config_fingerprint": format!("{fingerprint:#018x}"),
+        "rounds": ROUNDS,
         "resolve_seconds": resolve_s,
         "schemes": schemes_json,
-        "aggregate_speedup": agg_speedup,
-        "accesses_per_sec": serde_json::json!({
-            "scalar": agg_scalar_aps,
-            "batched": agg_batched_aps,
-        }),
-        "bit_identical": true,
+        "seconds": total_s,
+        "accesses_per_sec": agg_aps,
     });
     emit("BENCH_hotloop", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
 }

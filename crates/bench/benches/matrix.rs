@@ -1,10 +1,9 @@
-//! Criterion: the parallel matrix driver against the serial reference on
-//! a reduced Figure 9 slice, plus the memoization layer in isolation.
+//! Criterion: the matrix driver at 1, 2 and 4 worker threads on a reduced
+//! Figure 9 slice, plus the memoization layer in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hytlb_mem::Scenario;
-use hytlb_sim::experiment::run_suite_serial;
-use hytlb_sim::matrix::{run_matrix_with, MatrixCache};
+use hytlb_sim::matrix::{try_run_matrix_with, MatrixCache};
 use hytlb_sim::{PaperConfig, SchemeKind};
 use hytlb_trace::WorkloadKind;
 
@@ -17,27 +16,19 @@ const SCENARIOS: [Scenario; 3] =
 const WORKLOADS: [WorkloadKind; 3] =
     [WorkloadKind::Canneal, WorkloadKind::Gups, WorkloadKind::Omnetpp];
 
-/// Serial reference vs the worker pool at 1, 2 and 4 threads.
+/// The worker pool at 1, 2 and 4 threads.
 fn matrix_driver(c: &mut Criterion) {
     let kinds = SchemeKind::paper_set();
     let cells = (SCENARIOS.len() * WORKLOADS.len() * kinds.len()) as u64;
     let mut group = c.benchmark_group("matrix_driver");
     group.sample_size(10);
     group.throughput(Throughput::Elements(cells));
-    group.bench_function("serial_reference", |b| {
-        let config = bench_config();
-        b.iter(|| {
-            SCENARIOS
-                .iter()
-                .map(|&s| run_suite_serial(s, &WORKLOADS, &kinds, &config))
-                .collect::<Vec<_>>()
-        });
-    });
     for threads in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &threads| {
             let config = PaperConfig { threads: Some(threads), ..bench_config() };
             b.iter(|| {
-                run_matrix_with(&MatrixCache::new(), &SCENARIOS, &WORKLOADS, &kinds, &config)
+                try_run_matrix_with(&MatrixCache::new(), &SCENARIOS, &WORKLOADS, &kinds, &config)
+                    .expect("mapped traces")
             });
         });
     }
@@ -53,17 +44,17 @@ fn matrix_cache(c: &mut Criterion) {
         b.iter(|| {
             let cache = MatrixCache::new();
             let m = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-            let t = cache.trace(WorkloadKind::Canneal, &config);
+            let t = cache.try_trace(WorkloadKind::Canneal, &config).expect("generated trace");
             (m.map.mapped_pages(), t.len())
         });
     });
     group.bench_function("mapping_and_trace_hit", |b| {
         let cache = MatrixCache::new();
         let _ = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-        let _ = cache.trace(WorkloadKind::Canneal, &config);
+        let _ = cache.try_trace(WorkloadKind::Canneal, &config).expect("generated trace");
         b.iter(|| {
             let m = cache.mapping(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
-            let t = cache.trace(WorkloadKind::Canneal, &config);
+            let t = cache.try_trace(WorkloadKind::Canneal, &config).expect("generated trace");
             (m.map.mapped_pages(), t.len())
         });
     });

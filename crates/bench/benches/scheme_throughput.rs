@@ -28,7 +28,7 @@ fn scheme_throughput(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, &kind| {
                 b.iter(|| {
                     let mut m = Machine::for_scheme(kind, &map, &config);
-                    m.run(trace.iter().copied()).tlb_misses()
+                    m.try_run(trace.iter().copied()).expect("mapped trace").tlb_misses()
                 });
             });
         }
@@ -54,7 +54,7 @@ fn scenario_sweep(c: &mut Criterion) {
                     .collect();
                 b.iter(|| {
                     let mut m = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config);
-                    m.run(trace.iter().copied()).tlb_misses()
+                    m.try_run(trace.iter().copied()).expect("mapped trace").tlb_misses()
                 });
             },
         );

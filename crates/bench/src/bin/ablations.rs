@@ -11,8 +11,8 @@ use hytlb_core::{AnchorConfig, AnchorScheme, CostModel, DistanceMode, FillPolicy
 use hytlb_mem::{AddressSpaceMap, ContiguityHistogram, Scenario};
 use hytlb_schemes::AnchorIndexing;
 use hytlb_sim::experiment::{mapping_for, trace_for};
-use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, PaperConfig, RunStats};
+use hytlb_sim::report::{render_table, try_to_json};
+use hytlb_sim::{Machine, PaperConfig, RunStats, SimError};
 use hytlb_trace::WorkloadKind;
 use hytlb_types::{Permissions, PhysFrameNum, VirtPageNum};
 use std::sync::Arc;
@@ -22,12 +22,12 @@ fn run_anchor(
     cfg: AnchorConfig,
     trace: &[u64],
     config: &PaperConfig,
-) -> RunStats {
+) -> Result<RunStats, SimError> {
     let scheme = AnchorScheme::new(Arc::clone(map), cfg);
-    Machine::from_scheme(Box::new(scheme.into_mmu()), map, config).run(trace.iter().copied())
+    Machine::from_scheme(Box::new(scheme.into_mmu()), map, config).try_run(trace.iter().copied())
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Ablations: indexing / fill policy / cost model / regions", &config);
     let mut text = String::new();
@@ -46,7 +46,7 @@ fn main() {
             ("naive low bits", AnchorIndexing::NaiveLowBits),
         ] {
             let cfg = AnchorConfig { indexing, ..AnchorConfig::static_distance(32) };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "indexing", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -71,7 +71,7 @@ fn main() {
             ("always regular", FillPolicy::AlwaysRegular),
         ] {
             let cfg = AnchorConfig { fill, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "fill", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -106,7 +106,7 @@ fn main() {
             );
             let d = selector.select(&hist);
             let cfg = AnchorConfig { cost_model, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "cost_model", "variant": label, "distance": d, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -161,7 +161,7 @@ fn main() {
             ("regions (<=8)", DistanceMode::MultiRegion(8)),
         ] {
             let cfg = AnchorConfig { mode, ..AnchorConfig::dynamic() };
-            let run = run_anchor(&map, cfg, &trace, &config);
+            let run = run_anchor(&map, cfg, &trace, &config)?;
             json.push(serde_json::json!({"ablation": "regions", "variant": label, "walks": run.tlb_misses()}));
             rows.push((
                 label.to_owned(),
@@ -176,5 +176,6 @@ fn main() {
         text.push_str("Per-region distances serve both the fine-grained arena and the huge\nheap; a single compromise distance wastes one of them (paper §4.2).\n");
     }
 
-    emit("ablations", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    emit("ablations", &text, &try_to_json(&json)?);
+    Ok(())
 }

@@ -10,11 +10,11 @@
 
 use hytlb_bench::{banner, config_from_args, emit};
 use hytlb_mem::Scenario;
-use hytlb_sim::report::render_table;
-use hytlb_sim::{run_matrix, SchemeKind};
+use hytlb_sim::report::{render_table, try_to_json};
+use hytlb_sim::{try_run_matrix, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut config = config_from_args();
     // Fixed-size coverage limits only bind beyond the L2's 2 MB reach
     // (1024 entries x 2 MB = 2 GB), so this experiment runs gups at its
@@ -33,7 +33,7 @@ fn main() {
     ];
     let cols: Vec<String> = kinds[1..].iter().map(|k| k.label()).collect();
     let scenarios = [Scenario::MaxContiguity, Scenario::HighContiguity, Scenario::MediumContiguity];
-    let suites = run_matrix(&scenarios, &[workload], &kinds, &config);
+    let suites = try_run_matrix(&scenarios, &[workload], &kinds, &config)?;
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for suite in &suites {
@@ -60,5 +60,6 @@ fn main() {
          eventually limited\".\n",
         render_table("scenario", &cols, &rows)
     );
-    emit("ext_1gb_pages", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    emit("ext_1gb_pages", &text, &try_to_json(&json)?);
+    Ok(())
 }

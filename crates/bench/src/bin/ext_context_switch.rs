@@ -11,18 +11,18 @@
 use hytlb_bench::{banner, config_from_args, emit};
 use hytlb_mem::Scenario;
 use hytlb_sim::experiment::{mapping_for, trace_for};
-use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::report::{render_table, try_to_json};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Extension: context-switch flush sensitivity", &config);
 
     let workload = WorkloadKind::Canneal;
     let scenario = Scenario::MediumContiguity;
     let map = mapping_for(workload, scenario, &config);
-    let trace = trace_for(workload, &config);
+    let resolved = map.page_index().resolve(&trace_for(workload, &config));
     let periods = [u64::MAX, 1_000_000, 100_000, 10_000];
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster2Mb, SchemeKind::AnchorDynamic];
 
@@ -36,16 +36,16 @@ fn main() {
             .iter()
             .map(|&k| {
                 let run = Machine::for_scheme(k, &map, &config)
-                    .run_with_flush_period(trace.iter().copied(), period);
+                    .try_run_resolved_with_flush_period(&resolved, period)?;
                 json.push(serde_json::json!({
                     "scheme": run.scheme,
                     "flush_period": period,
                     "walks": run.tlb_misses(),
                     "cpi": run.translation_cpi(),
                 }));
-                run.tlb_misses().to_string()
+                Ok(run.tlb_misses().to_string())
             })
-            .collect();
+            .collect::<Result<_, SimError>>()?;
         rows.push((label, cells));
     }
     let text = format!(
@@ -56,5 +56,6 @@ fn main() {
          tolerable.\n",
         render_table("flush period", &cols, &rows)
     );
-    emit("ext_context_switch", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    emit("ext_context_switch", &text, &try_to_json(&json)?);
+    Ok(())
 }

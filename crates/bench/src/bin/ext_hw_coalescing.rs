@@ -11,12 +11,12 @@ use hytlb_core::{AnchorConfig, AnchorScheme};
 use hytlb_mem::Scenario;
 use hytlb_schemes::{ColtScheme, LatencyModel, TranslationScheme};
 use hytlb_sim::experiment::{mapping_for, trace_for};
-use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::report::{render_table, try_to_json};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Extension: HW-only coalescing design space (§2.1)", &config);
 
@@ -33,8 +33,8 @@ fn main() {
     {
         let map = mapping_for(workload, scenario, &config);
         let trace = trace_for(workload, &config);
-        let base =
-            Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(trace.iter().copied());
+        let base = Machine::for_scheme(SchemeKind::Baseline, &map, &config)
+            .try_run(trace.iter().copied())?;
         let latency = LatencyModel::default();
         let arc = Arc::new(map.clone());
         let schemes: Vec<Box<dyn TranslationScheme>> = vec![
@@ -46,15 +46,16 @@ fn main() {
         let cells: Vec<String> = schemes
             .into_iter()
             .map(|scheme| {
-                let run = Machine::from_scheme(scheme, &map, &config).run(trace.iter().copied());
+                let run =
+                    Machine::from_scheme(scheme, &map, &config).try_run(trace.iter().copied())?;
                 json.push(serde_json::json!({
                     "scenario": scenario.label(),
                     "scheme": run.scheme,
                     "relative_misses_pct": run.relative_misses_pct(&base),
                 }));
-                format!("{:.1}", run.relative_misses_pct(&base))
+                Ok(format!("{:.1}", run.relative_misses_pct(&base)))
             })
-            .collect();
+            .collect::<Result<_, SimError>>()?;
         rows.push((scenario.label().to_owned(), cells));
     }
     let text = format!(
@@ -64,5 +65,6 @@ fn main() {
          — the §2.1 scalability/flexibility argument, quantified.\n",
         render_table("scenario", &cols, &rows)
     );
-    emit("ext_hw_coalescing", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    emit("ext_hw_coalescing", &text, &try_to_json(&json)?);
+    Ok(())
 }

@@ -9,11 +9,11 @@
 
 use hytlb_bench::{banner, config_from_args, emit};
 use hytlb_mem::{ContiguityHistogram, FragmentationLevel, NumaPolicy, NumaTopology};
-use hytlb_sim::report::render_table;
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::report::{format_distance, render_table, try_to_json};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Extension: NUMA placement vs translation coverage (§2.2)", &config);
 
@@ -46,7 +46,7 @@ fn main() {
         let mut cells = vec![format!("{:.0}", hist.mean_contiguity())];
         let mut distance = None;
         for &kind in &kinds {
-            let run = Machine::for_scheme(kind, &map, &config).run(trace.iter().copied());
+            let run = Machine::for_scheme(kind, &map, &config).try_run(trace.iter().copied())?;
             distance = distance.or(run.anchor_distance);
             json.push(serde_json::json!({
                 "policy": label,
@@ -56,12 +56,7 @@ fn main() {
             }));
             cells.push(run.tlb_misses().to_string());
         }
-        cells.push(run_distance_label(
-            Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config)
-                .run(trace.iter().copied())
-                .anchor_distance,
-        ));
-        let _ = distance;
+        cells.push(distance.map_or_else(|| "-".to_owned(), format_distance));
         rows.push((label.to_owned(), cells));
     }
     let text = format!(
@@ -71,9 +66,6 @@ fn main() {
          with its distance — the §2.2 case for allocation-flexible coalescing.\n",
         render_table("NUMA policy", &cols, &rows)
     );
-    emit("ext_numa", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
-}
-
-fn run_distance_label(d: Option<u64>) -> String {
-    d.map_or_else(|| "-".to_owned(), hytlb_sim::report::format_distance)
+    emit("ext_numa", &text, &try_to_json(&json)?);
+    Ok(())
 }

@@ -8,12 +8,12 @@
 
 use hytlb_bench::{banner, config_from_args, emit};
 use hytlb_mem::Scenario;
-use hytlb_sim::experiment::run_suite;
-use hytlb_sim::report::render_table;
-use hytlb_sim::SchemeKind;
+use hytlb_sim::experiment::try_run_suite;
+use hytlb_sim::report::{render_table, try_to_json};
+use hytlb_sim::{SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Figure 2: motivation — prior schemes vs. mapping contiguity", &config);
 
@@ -27,7 +27,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut suites = Vec::new();
     for (label, scenario) in scenarios {
-        let suite = run_suite(scenario, &WorkloadKind::all(), &kinds, &config);
+        let suite = try_run_suite(scenario, &WorkloadKind::all(), &kinds, &config)?;
         let means = suite.mean_relative_misses();
         rows.push((label.to_owned(), means.iter().map(|m| format!("{m:.1}")).collect()));
         suites.push(suite);
@@ -37,5 +37,6 @@ fn main() {
          RMM ~ base at small contiguity, near zero at large contiguity.\n",
         render_table("mean rel. misses %", &cols, &rows)
     );
-    emit("fig02_motivation", &text, &serde_json::to_string_pretty(&suites).expect("serializable"));
+    emit("fig02_motivation", &text, &try_to_json(&suites)?);
+    Ok(())
 }

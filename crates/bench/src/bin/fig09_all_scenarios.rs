@@ -1,18 +1,19 @@
 //! Figure 9: mean relative TLB misses of every scheme under all six
 //! mapping scenarios.
 
-use hytlb_bench::{banner, config_from_args, emit, per_benchmark_suites};
+use hytlb_bench::{banner, config_from_args, emit, try_per_benchmark_suites};
 use hytlb_mem::Scenario;
-use hytlb_sim::report::{render_table, suite_bars, to_json};
+use hytlb_sim::report::{render_table, suite_bars, try_to_json};
+use hytlb_sim::SimError;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Figure 9: mean relative TLB misses, all mapping scenarios", &config);
 
     // One matrix call: all six scenarios share the worker pool, and each
     // workload's trace is generated once for the whole figure.
     eprintln!("running all {} scenarios ...", Scenario::all().len());
-    let suites = per_benchmark_suites(&Scenario::all(), &config);
+    let suites = try_per_benchmark_suites(&Scenario::all(), &config)?;
     let cols: Vec<String> = suites[0].schemes.clone();
     let rows: Vec<(String, Vec<String>)> = suites
         .iter()
@@ -33,5 +34,6 @@ fn main() {
          eliminates misses on high/max and Dynamic matches it; Dynamic achieves\n\
          the best (lowest) mean in every scenario among practical schemes.\n",
     );
-    emit("fig09_all_scenarios", &text, &to_json(&suites));
+    emit("fig09_all_scenarios", &text, &try_to_json(&suites)?);
+    Ok(())
 }

@@ -4,12 +4,12 @@
 
 use hytlb_bench::{banner, config_from_args, emit};
 use hytlb_mem::Scenario;
-use hytlb_sim::experiment::run_suite;
-use hytlb_sim::report::{l2_breakdown_table, to_json};
-use hytlb_sim::SchemeKind;
+use hytlb_sim::experiment::try_run_suite;
+use hytlb_sim::report::{l2_breakdown_table, try_to_json};
+use hytlb_sim::{SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Table 5: L2 TLB access breakdown (Dynamic)", &config);
 
@@ -17,7 +17,7 @@ fn main() {
     let mut suites = Vec::new();
     for scenario in [Scenario::DemandPaging, Scenario::MediumContiguity] {
         let suite =
-            run_suite(scenario, &WorkloadKind::all(), &[SchemeKind::AnchorDynamic], &config);
+            try_run_suite(scenario, &WorkloadKind::all(), &[SchemeKind::AnchorDynamic], &config)?;
         text.push_str(&l2_breakdown_table(&suite, 0));
         text.push('\n');
         suites.push(suite);
@@ -27,5 +27,6 @@ fn main() {
          dominate; under medium contiguity anchor hits take over; gups/graph500\n\
          keep high L2 miss rates at medium contiguity.\n",
     );
-    emit("table5_l2_breakdown", &text, &to_json(&suites));
+    emit("table5_l2_breakdown", &text, &try_to_json(&suites)?);
+    Ok(())
 }

@@ -11,11 +11,11 @@ use hytlb_bench::{banner, config_from_args, emit};
 use hytlb_core::DistanceSelector;
 use hytlb_mem::{ContiguityHistogram, Scenario};
 use hytlb_sim::experiment::{mapping_for, trace_for};
-use hytlb_sim::report::{format_distance, render_table};
-use hytlb_sim::{Machine, SchemeKind};
+use hytlb_sim::report::{format_distance, render_table, try_to_json};
+use hytlb_sim::{Machine, SchemeKind, SimError};
 use hytlb_trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = config_from_args();
     banner("Table 6: selected anchor distances + stability", &config);
 
@@ -47,7 +47,7 @@ fn main() {
         let map = mapping_for(workload, scenario, &config);
         let mut machine = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config);
         let trace = trace_for(workload, &config);
-        let stats = machine.run(trace);
+        let stats = machine.try_run(trace)?;
         let d = stats.anchor_distance.expect("anchor scheme");
         text.push_str(&format!(
             "  {:<12} demand: distance {} held across {} epochs\n",
@@ -61,5 +61,6 @@ fn main() {
          medium; large (>=256) on high/max; demand/eager pick large distances for\n\
          big-chunk apps (gups, graph500, mcf) and small ones for omnetpp/xalancbmk.\n",
     );
-    emit("table6_distances", &text, &serde_json::to_string_pretty(&json).expect("serializable"));
+    emit("table6_distances", &text, &try_to_json(&json)?);
+    Ok(())
 }

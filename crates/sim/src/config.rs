@@ -30,7 +30,7 @@ pub struct PaperConfig {
     /// 2^13 pages so they always exceed the L2 reach.
     pub footprint_shift: u32,
     /// Worker threads for the matrix driver
-    /// ([`matrix::run_matrix`](crate::matrix::run_matrix)). `None` defers
+    /// ([`matrix::try_run_matrix`](crate::matrix::try_run_matrix)). `None` defers
     /// to the `HYTLB_THREADS` environment variable, then to the machine's
     /// available parallelism. Never affects results, only wall-clock.
     pub threads: Option<usize>,
@@ -128,7 +128,7 @@ pub enum SchemeKind {
 impl SchemeKind {
     /// The six schemes of Figures 7–9, in figure order (static-ideal is a
     /// sweep, produced separately by
-    /// [`experiment::static_ideal`](crate::experiment::static_ideal)).
+    /// [`matrix::try_run_matrix_with_static_ideal`](crate::matrix::try_run_matrix_with_static_ideal)).
     #[must_use]
     pub fn paper_set() -> [SchemeKind; 6] {
         [

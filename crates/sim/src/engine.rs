@@ -1,4 +1,5 @@
-//! The machine: a translation scheme driven by a logical-address trace.
+//! The machine: a translation scheme driven by a trace, through one
+//! chunked run loop.
 
 use crate::config::{PaperConfig, SchemeKind};
 use crate::error::SimError;
@@ -7,10 +8,25 @@ use hytlb_schemes::{SchemeStats, TranslationScheme};
 use hytlb_types::{VirtAddr, PAGE_SIZE_U64};
 use std::sync::Arc;
 
-/// Accesses per chunk of the batched resolved-trace loop: large enough to
-/// amortize the per-chunk virtual call and epoch/flush bookkeeping, small
-/// enough that a chunk's addresses stay cache-resident.
-const RESOLVED_BATCH: u64 = 4096;
+/// Accesses per chunk of the run loop: large enough to amortize the
+/// per-chunk virtual call and epoch/flush bookkeeping, small enough that a
+/// chunk's addresses stay cache-resident.
+const BATCH: usize = 4096;
+
+/// The epoch and flush countdowns of one run, carried across chunks.
+struct Cadence {
+    epoch_every: u64,
+    flush_period: u64,
+    since_epoch: u64,
+    since_flush: u64,
+    accesses: u64,
+}
+
+impl Cadence {
+    fn new(epoch_every: u64, flush_period: u64) -> Self {
+        Cadence { epoch_every, flush_period, since_epoch: 0, since_flush: 0, accesses: 0 }
+    }
+}
 
 /// Translation-CPI contributions, as stacked in Figures 10–11.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
@@ -141,151 +157,76 @@ impl Machine {
         &*self.scheme
     }
 
-    /// Drives a logical-address trace through the MMU. Logical addresses
-    /// must lie within `mapped_pages × 4096` (generators built with the
-    /// same footprint guarantee this).
+    /// Drives a logical-address trace through the MMU. The trace is
+    /// streamed: up to 4,096 logical addresses at a time are placed onto
+    /// the mapping with [`PageIndex::resolve`] and fed to the same chunked
+    /// loop as [`Machine::try_run_resolved`], so a caller never has to
+    /// hold a whole trace in memory.
     ///
-    /// # Panics
-    ///
-    /// Panics if a trace address exceeds the mapping's footprint, or if the
-    /// MMU mistranslates (cross-checked against nothing at runtime — the
-    /// schemes assert internally — but faults on mapped-only traces are a
-    /// harness bug and do panic). Use [`Machine::try_run`] for the
-    /// non-panicking variant.
-    pub fn run<I: IntoIterator<Item = u64>>(&mut self, trace: I) -> RunStats {
-        self.run_with_flush_period(trace, u64::MAX)
-    }
-
-    /// Like [`Machine::run`], but reports a fault as a typed
-    /// [`SimError::TraceFault`] naming the scheme and the address instead
-    /// of panicking, so matrix drivers can attribute the failure to a cell.
+    /// A logical address outside `mapped_pages × 4096` is reported as
+    /// [`SimError::OutsideFootprint`]; a mistranslation as
+    /// [`SimError::TraceFault`] naming the scheme and address.
     pub fn try_run<I: IntoIterator<Item = u64>>(&mut self, trace: I) -> Result<RunStats, SimError> {
-        self.try_run_with_flush_period(trace, u64::MAX)
-    }
-
-    /// Like [`Machine::run`], but flushes all TLB state every
-    /// `flush_period` accesses — modelling context switches, which flush
-    /// the TLB on native x86 Linux (paper §3.3). Coalesced schemes refill
-    /// their reach with far fewer walks than the baseline, so frequent
-    /// switches *widen* their advantage.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::run`].
-    pub fn run_with_flush_period<I: IntoIterator<Item = u64>>(
-        &mut self,
-        trace: I,
-        flush_period: u64,
-    ) -> RunStats {
-        // audit:allow(panic): invariant — the panicking wrapper exists for
-        // the many quick-experiment callers; the error already names the
-        // scheme and address, and matrix cells use the try_ variant.
-        self.try_run_with_flush_period(trace, flush_period).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The non-panicking core of [`Machine::run_with_flush_period`]: a
-    /// fault on a mapped-only trace surfaces as [`SimError::TraceFault`].
-    /// Checked in release builds too — a silent mistranslation would
-    /// corrupt every figure downstream.
-    pub fn try_run_with_flush_period<I: IntoIterator<Item = u64>>(
-        &mut self,
-        trace: I,
-        flush_period: u64,
-    ) -> Result<RunStats, SimError> {
-        let epoch_every = self.config.epoch_accesses();
-        let mut since_epoch = 0u64;
-        let mut since_flush = 0u64;
-        let mut accesses = 0u64;
-        for logical in trace {
-            let page = logical / PAGE_SIZE_U64;
-            let offset = logical % PAGE_SIZE_U64;
-            let vpn = self.index.nth_page(page);
-            let va = VirtAddr::new(vpn.base_addr().as_u64() + offset);
-            let result = self.scheme.access(va);
-            // A fault here means the placement layer or a scheme's walk
-            // path is broken: traces only ever touch mapped pages.
-            if result.pfn.is_none() {
-                return Err(SimError::TraceFault {
-                    scheme: self.scheme.name().to_owned(),
-                    vaddr: va,
-                });
+        let footprint_pages = self.index.len();
+        let limit = footprint_pages.saturating_mul(PAGE_SIZE_U64);
+        let mut cadence = Cadence::new(self.config.epoch_accesses(), u64::MAX);
+        let mut trace = trace.into_iter();
+        let mut logical = Vec::with_capacity(BATCH);
+        loop {
+            logical.clear();
+            logical.extend(trace.by_ref().take(BATCH));
+            if logical.is_empty() {
+                break;
             }
-            accesses += 1;
-            since_epoch += 1;
-            since_flush += 1;
-            if since_epoch >= epoch_every {
-                self.scheme.on_epoch();
-                since_epoch = 0;
+            if let Some(&address) = logical.iter().find(|&&a| a >= limit) {
+                return Err(SimError::OutsideFootprint { address, footprint_pages });
             }
-            if since_flush >= flush_period {
-                self.scheme.flush();
-                since_flush = 0;
-            }
+            self.run_chunks(&mut cadence, &self.index.resolve(&logical))?;
         }
-        Ok(self.finish(accesses))
+        Ok(self.finish(cadence.accesses))
     }
 
-    /// Drives a *pre-resolved* virtual-address trace through the MMU in
-    /// chunks, skipping the per-access placement math of [`Machine::run`]
-    /// (see [`hytlb_mem::PageIndex::resolve`]) and the per-access virtual
-    /// call (each chunk is one virtual `access_batch` call into the
-    /// scheme's monomorphized loop). Bit-identical to `run` over the logical trace that produced
+    /// Drives a *pre-resolved* virtual-address trace (see
+    /// [`PageIndex::resolve`]) through the MMU. Bit-identical to
+    /// [`Machine::try_run`] over the logical trace that produced
     /// `resolved`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::run`].
-    pub fn run_resolved(&mut self, resolved: &[VirtAddr]) -> RunStats {
-        self.run_resolved_with_flush_period(resolved, u64::MAX)
-    }
-
-    /// [`Machine::run_resolved`] with periodic TLB flushes, the batched
-    /// counterpart of [`Machine::run_with_flush_period`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::run`].
-    pub fn run_resolved_with_flush_period(
-        &mut self,
-        resolved: &[VirtAddr],
-        flush_period: u64,
-    ) -> RunStats {
-        // The panicking wrapper exists for the many quick-experiment
-        // callers; the error already names the scheme and address, and
-        // matrix cells use the try_ variant.
-        self.try_run_resolved_with_flush_period(resolved, flush_period)
-            // audit:allow(panic): invariant — see the wrapper comment above.
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Machine::run_resolved`].
     pub fn try_run_resolved(&mut self, resolved: &[VirtAddr]) -> Result<RunStats, SimError> {
         self.try_run_resolved_with_flush_period(resolved, u64::MAX)
     }
 
-    /// The non-panicking core of the batched hot loop. Chunks are cut so
-    /// that every epoch and flush boundary lands exactly on a chunk end,
-    /// which makes `on_epoch`/`flush` fire at exactly the same access
-    /// counts as the scalar reference loop — bit-identical stats by
-    /// construction.
+    /// [`Machine::try_run_resolved`], but flushes all TLB state every
+    /// `flush_period` accesses — modelling context switches, which flush
+    /// the TLB on native x86 Linux (paper §3.3). Coalesced schemes refill
+    /// their reach with far fewer walks than the baseline, so frequent
+    /// switches *widen* their advantage. A `flush_period` of 0 flushes
+    /// after every access.
     pub fn try_run_resolved_with_flush_period(
         &mut self,
         resolved: &[VirtAddr],
         flush_period: u64,
     ) -> Result<RunStats, SimError> {
-        let epoch_every = self.config.epoch_accesses();
-        let mut since_epoch = 0u64;
-        let mut since_flush = 0u64;
+        let mut cadence = Cadence::new(self.config.epoch_accesses(), flush_period);
+        self.run_chunks(&mut cadence, resolved)?;
+        Ok(self.finish(cadence.accesses))
+    }
+
+    /// The run loop. Chunks are cut so that every epoch and flush boundary
+    /// lands exactly on a chunk end, which makes `on_epoch`/`flush` fire
+    /// after exactly the same accesses as a one-access-at-a-time loop —
+    /// bit-identical stats by construction. Each chunk is one virtual
+    /// `access_batch` call into the scheme's monomorphized loop. Checked in
+    /// release builds too: a silent mistranslation would corrupt every
+    /// figure downstream.
+    fn run_chunks(&mut self, cadence: &mut Cadence, resolved: &[VirtAddr]) -> Result<(), SimError> {
         let mut pos = 0usize;
         while pos < resolved.len() {
             let remaining = (resolved.len() - pos) as u64;
             // `since_epoch < epoch_every` is a loop invariant (reset on
             // fire), so this cannot underflow. The flush gap is clamped to
-            // one access so a `flush_period` of 0 — which the scalar loop
-            // services after every access — still makes progress.
-            let until_epoch = epoch_every - since_epoch;
-            let until_flush = flush_period.saturating_sub(since_flush).max(1);
-            let take = RESOLVED_BATCH.min(remaining).min(until_epoch).min(until_flush);
+            // one access so a `flush_period` of 0 still makes progress.
+            let until_epoch = cadence.epoch_every - cadence.since_epoch;
+            let until_flush = cadence.flush_period.saturating_sub(cadence.since_flush).max(1);
+            let take = (BATCH as u64).min(remaining).min(until_epoch).min(until_flush);
             let end = pos + take as usize;
             if let Err(fault) = self.scheme.access_batch(&resolved[pos..end]) {
                 return Err(SimError::TraceFault {
@@ -294,18 +235,19 @@ impl Machine {
                 });
             }
             pos = end;
-            since_epoch += take;
-            since_flush += take;
-            if since_epoch >= epoch_every {
+            cadence.accesses += take;
+            cadence.since_epoch += take;
+            cadence.since_flush += take;
+            if cadence.since_epoch >= cadence.epoch_every {
                 self.scheme.on_epoch();
-                since_epoch = 0;
+                cadence.since_epoch = 0;
             }
-            if since_flush >= flush_period {
+            if cadence.since_flush >= cadence.flush_period {
                 self.scheme.flush();
-                since_flush = 0;
+                cadence.since_flush = 0;
             }
         }
-        Ok(self.finish(resolved.len() as u64))
+        Ok(())
     }
 
     fn finish(&self, accesses: u64) -> RunStats {
@@ -340,12 +282,26 @@ mod tests {
         PaperConfig { accesses: 20_000, ..PaperConfig::quick() }
     }
 
+    /// Runs a logical trace through `kind` with periodic flushes.
+    fn run_flushed(
+        kind: SchemeKind,
+        map: &Arc<AddressSpaceMap>,
+        config: &PaperConfig,
+        trace: &[u64],
+        flush_period: u64,
+    ) -> RunStats {
+        let resolved = map.page_index().resolve(trace);
+        Machine::for_scheme(kind, map, config)
+            .try_run_resolved_with_flush_period(&resolved, flush_period)
+            .expect("mapped trace")
+    }
+
     #[test]
     fn run_counts_accesses_and_cpi() {
         let config = quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(4096, 1));
         let mut m = Machine::for_scheme(SchemeKind::Baseline, &map, &config);
-        let stats = m.run(WorkloadKind::Canneal.generator(4096, 1).take(20_000));
+        let stats = m.try_run(WorkloadKind::Canneal.generator(4096, 1).take(20_000)).unwrap();
         assert_eq!(stats.accesses, 20_000);
         assert_eq!(stats.stats.accesses, 20_000);
         assert!(stats.translation_cpi() > 0.0);
@@ -358,7 +314,7 @@ mod tests {
         let config = quick();
         let map = Arc::new(Scenario::LowContiguity.generate(4096, 2));
         let mut m = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config);
-        let stats = m.run(WorkloadKind::Gups.generator(4096, 2).take(5_000));
+        let stats = m.try_run(WorkloadKind::Gups.generator(4096, 2).take(5_000)).unwrap();
         let d = stats.anchor_distance.expect("anchor scheme has a distance");
         assert!(d.is_power_of_two());
         assert!(d <= 16, "low contiguity should select a small distance, got {d}");
@@ -369,10 +325,8 @@ mod tests {
         let config = quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(4096, 5));
         let trace: Vec<u64> = WorkloadKind::Canneal.generator(4096, 5).take(30_000).collect();
-        let calm = Machine::for_scheme(SchemeKind::Baseline, &map, &config)
-            .run_with_flush_period(trace.iter().copied(), u64::MAX);
-        let churned = Machine::for_scheme(SchemeKind::Baseline, &map, &config)
-            .run_with_flush_period(trace.iter().copied(), 1_000);
+        let calm = run_flushed(SchemeKind::Baseline, &map, &config, &trace, u64::MAX);
+        let churned = run_flushed(SchemeKind::Baseline, &map, &config, &trace, 1_000);
         assert!(churned.tlb_misses() > calm.tlb_misses());
         assert_eq!(churned.accesses, calm.accesses);
     }
@@ -382,11 +336,7 @@ mod tests {
         let config = quick();
         let map = Arc::new(Scenario::MediumContiguity.generate(8192, 6));
         let trace: Vec<u64> = WorkloadKind::Canneal.generator(8192, 6).take(50_000).collect();
-        let walks = |kind| {
-            Machine::for_scheme(kind, &map, &config)
-                .run_with_flush_period(trace.iter().copied(), 5_000)
-                .tlb_misses()
-        };
+        let walks = |kind| run_flushed(kind, &map, &config, &trace, 5_000).tlb_misses();
         assert!(walks(SchemeKind::AnchorDynamic) < walks(SchemeKind::Baseline));
     }
 
@@ -409,24 +359,20 @@ mod tests {
     }
 
     #[test]
-    fn resolved_run_matches_scalar_reference() {
-        // Small epoch so boundaries land mid-chunk, plus a flush period
-        // coprime with the batch size.
-        let config =
-            PaperConfig { accesses: 30_000, epoch_instructions: 9_000, ..PaperConfig::quick() };
-        let map = Arc::new(Scenario::MediumContiguity.generate(4096, 5));
-        let index = Arc::new(map.page_index());
-        let trace: Vec<u64> = WorkloadKind::Canneal.generator(4096, 5).take(30_000).collect();
-        let resolved = index.resolve(&trace);
-        for flush_period in [u64::MAX, 7_777] {
-            let scalar =
-                Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &map, &index, &config)
-                    .run_with_flush_period(trace.iter().copied(), flush_period);
-            let batched =
-                Machine::for_scheme_indexed(SchemeKind::AnchorDynamic, &map, &index, &config)
-                    .run_resolved_with_flush_period(&resolved, flush_period);
-            assert_eq!(scalar, batched, "flush_period {flush_period}");
-        }
+    fn try_run_rejects_addresses_outside_the_footprint() {
+        let config = quick();
+        let map = Arc::new(Scenario::MediumContiguity.generate(64, 8));
+        let mut m = Machine::for_scheme(SchemeKind::Baseline, &map, &config);
+        // The bad address sits in the second chunk, after a full first one.
+        let trace = (0..5_000u64).map(|i| (i % 64) * PAGE_SIZE_U64).chain([64 * PAGE_SIZE_U64 + 8]);
+        let err = m.try_run(trace).expect_err("address past the footprint");
+        assert_eq!(
+            err,
+            crate::SimError::OutsideFootprint {
+                address: 64 * PAGE_SIZE_U64 + 8,
+                footprint_pages: 64
+            }
+        );
     }
 
     #[test]
@@ -450,10 +396,9 @@ mod tests {
         let config = quick();
         let map = Arc::new(Scenario::MaxContiguity.generate(1 << 13, 3));
         let trace: Vec<u64> = WorkloadKind::Milc.generator(1 << 13, 3).take(30_000).collect();
-        let base =
-            Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(trace.iter().copied());
-        let anchor = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config)
-            .run(trace.iter().copied());
+        let run = |kind| Machine::for_scheme(kind, &map, &config).try_run(trace.iter().copied());
+        let base = run(SchemeKind::Baseline).unwrap();
+        let anchor = run(SchemeKind::AnchorDynamic).unwrap();
         let rel = anchor.relative_misses_pct(&base);
         assert!(rel < 30.0, "anchor at {rel}% of baseline misses");
         assert!((base.relative_misses_pct(&base) - 100.0).abs() < 1e-9);

@@ -21,8 +21,19 @@ pub enum SimError {
         /// The virtual address that failed to translate.
         vaddr: VirtAddr,
     },
-    /// A table renderer was handed an empty suite list.
+    /// A logical trace address lies past the mapping's footprint, so it
+    /// has no page to be placed on (a trace recorded for another
+    /// footprint, or a corrupt one).
+    OutsideFootprint {
+        /// The offending logical address.
+        address: u64,
+        /// Pages the mapping places logical addresses onto.
+        footprint_pages: u64,
+    },
+    /// A driver or renderer was handed an empty suite list.
     NoSuites,
+    /// A `Static Ideal` column was requested with no candidate distances.
+    EmptySweep,
     /// Suites passed to a cross-suite renderer disagree on their workload
     /// rows.
     SuiteMisaligned {
@@ -86,7 +97,12 @@ impl core::fmt::Display for SimError {
             SimError::TraceFault { scheme, vaddr } => {
                 write!(f, "scheme {scheme} faulted on a mapped-only trace at {vaddr}")
             }
-            SimError::NoSuites => write!(f, "no suites to render"),
+            SimError::OutsideFootprint { address, footprint_pages } => write!(
+                f,
+                "logical address {address:#x} lies outside the {footprint_pages}-page footprint"
+            ),
+            SimError::NoSuites => write!(f, "no suites"),
+            SimError::EmptySweep => write!(f, "need at least one candidate distance"),
             SimError::SuiteMisaligned { row, expected, found } => {
                 write!(f, "suites disagree at row {row}: expected {expected}, found {found}")
             }
@@ -107,7 +123,9 @@ impl std::error::Error for SimError {
         match self {
             SimError::Cell { source, .. } => Some(source.as_ref()),
             SimError::TraceFault { .. }
+            | SimError::OutsideFootprint { .. }
             | SimError::NoSuites
+            | SimError::EmptySweep
             | SimError::SuiteMisaligned { .. }
             | SimError::NotAnAnchorColumn { .. }
             | SimError::Serialize { .. }
@@ -135,7 +153,9 @@ mod tests {
     #[test]
     fn display_covers_all_variants() {
         let cases: Vec<SimError> = vec![
+            SimError::OutsideFootprint { address: 0x10_0008, footprint_pages: 256 },
             SimError::NoSuites,
+            SimError::EmptySweep,
             SimError::SuiteMisaligned { row: 2, expected: "gups".into(), found: "mcf".into() },
             SimError::NotAnAnchorColumn { scheme: "Base".into(), workload: "gups".into() },
             SimError::Serialize { detail: "boom".into() },

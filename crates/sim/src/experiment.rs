@@ -6,7 +6,8 @@
 //! against different pagemap snapshots.
 
 use crate::config::{PaperConfig, SchemeKind};
-use crate::engine::{Machine, RunStats};
+use crate::engine::RunStats;
+use crate::error::SimError;
 use hytlb_mem::{AddressSpaceMap, AllocationProfile, FragmentationLevel, Scenario};
 use hytlb_trace::WorkloadKind;
 use std::sync::Arc;
@@ -113,89 +114,19 @@ pub fn trace_for(workload: WorkloadKind, config: &PaperConfig) -> Vec<u64> {
         .collect()
 }
 
-/// Runs one (workload, scenario, scheme) cell from scratch.
-#[must_use]
-pub fn run_cell(
-    workload: WorkloadKind,
-    scenario: Scenario,
-    kind: SchemeKind,
-    config: &PaperConfig,
-) -> RunStats {
-    let map = mapping_for(workload, scenario, config);
-    let trace = trace_for(workload, config);
-    Machine::for_scheme(kind, &map, config).run(trace)
-}
-
 /// Runs a full suite: every workload × every scheme under one scenario,
 /// sharing the mapping and trace across schemes. Cells run on the matrix
-/// worker pool (see [`crate::matrix`]); results are bit-identical to
-/// [`run_suite_serial`] because each cell is deterministic.
-#[must_use]
-pub fn run_suite(
+/// worker pool (see [`crate::matrix`]); a failing cell surfaces as
+/// [`SimError::Cell`] naming it.
+pub fn try_run_suite(
     scenario: Scenario,
     workloads: &[WorkloadKind],
     kinds: &[SchemeKind],
     config: &PaperConfig,
-) -> SuiteResult {
-    crate::matrix::run_matrix(&[scenario], workloads, kinds, config)
+) -> Result<SuiteResult, SimError> {
+    crate::matrix::try_run_matrix(&[scenario], workloads, kinds, config)?
         .pop()
-        .expect("one scenario in, one suite out")
-}
-
-/// The single-threaded reference implementation of [`run_suite`]: plain
-/// nested loops, no cache, no worker pool. The matrix driver is validated
-/// cell-for-cell against this.
-#[must_use]
-pub fn run_suite_serial(
-    scenario: Scenario,
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> SuiteResult {
-    let rows = workloads
-        .iter()
-        .map(|&workload| {
-            let map = mapping_for(workload, scenario, config);
-            // One placement index per mapping: every scheme of the row
-            // shares it instead of re-deriving it per machine.
-            let index = Arc::new(map.page_index());
-            let trace = trace_for(workload, config);
-            let runs = kinds
-                .iter()
-                .map(|&kind| {
-                    Machine::for_scheme_indexed(kind, &map, &index, config)
-                        .run(trace.iter().copied())
-                })
-                .collect();
-            WorkloadRow { workload, runs }
-        })
-        .collect();
-    SuiteResult { scenario, schemes: kinds.iter().map(|k| k.label()).collect(), rows }
-}
-
-/// The `Static Ideal` scheme: exhaustively sweeps anchor distances for one
-/// (workload, scenario) and returns the run with the fewest TLB misses,
-/// mirroring the paper's "one optimal distance ... by exhaustive evaluation
-/// of all possible distances".
-#[must_use]
-pub fn static_ideal(
-    workload: WorkloadKind,
-    scenario: Scenario,
-    candidates: &[u64],
-    config: &PaperConfig,
-) -> RunStats {
-    assert!(!candidates.is_empty(), "need at least one candidate distance");
-    let map = mapping_for(workload, scenario, config);
-    let index = Arc::new(map.page_index());
-    let trace = trace_for(workload, config);
-    candidates
-        .iter()
-        .map(|&d| {
-            Machine::for_scheme_indexed(SchemeKind::AnchorStatic(d), &map, &index, config)
-                .run(trace.iter().copied())
-        })
-        .min_by_key(RunStats::tlb_misses)
-        .expect("candidates nonempty")
+        .ok_or(SimError::NoSuites)
 }
 
 /// The distance sweep used for `Static Ideal` when exhaustive search is too
@@ -217,12 +148,13 @@ mod tests {
     fn suite_shapes_are_consistent() {
         let config = tiny();
         let kinds = [SchemeKind::Baseline, SchemeKind::AnchorDynamic];
-        let suite = run_suite(
+        let suite = try_run_suite(
             Scenario::MediumContiguity,
             &[WorkloadKind::Gups, WorkloadKind::Omnetpp],
             &kinds,
             &config,
-        );
+        )
+        .unwrap();
         assert_eq!(suite.rows.len(), 2);
         assert_eq!(suite.schemes, ["Base", "Dynamic"]);
         for row in &suite.rows {
@@ -235,39 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn cells_are_reproducible() {
-        let config = tiny();
-        let a =
-            run_cell(WorkloadKind::Milc, Scenario::LowContiguity, SchemeKind::Baseline, &config);
-        let b =
-            run_cell(WorkloadKind::Milc, Scenario::LowContiguity, SchemeKind::Baseline, &config);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn different_scenarios_give_different_mappings() {
         let config = tiny();
         let low = mapping_for(WorkloadKind::Mcf, Scenario::LowContiguity, &config);
         let max = mapping_for(WorkloadKind::Mcf, Scenario::MaxContiguity, &config);
         assert_eq!(low.mapped_pages(), max.mapped_pages());
         assert!(low.chunk_count() > max.chunk_count());
-    }
-
-    #[test]
-    fn static_ideal_is_no_worse_than_any_candidate() {
-        let config = tiny();
-        let candidates = [4u64, 64, 4096];
-        let best =
-            static_ideal(WorkloadKind::Canneal, Scenario::MediumContiguity, &candidates, &config);
-        for d in candidates {
-            let run = run_cell(
-                WorkloadKind::Canneal,
-                Scenario::MediumContiguity,
-                SchemeKind::AnchorStatic(d),
-                &config,
-            );
-            assert!(best.tlb_misses() <= run.tlb_misses(), "d={d}");
-        }
     }
 
     #[test]

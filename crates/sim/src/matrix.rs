@@ -11,11 +11,10 @@
 //!
 //! * **Bit-identical to serial.** Every cell is a pure function of
 //!   `(workload, scenario, scheme, config)`; the pool only changes *when*
-//!   a cell runs, never its inputs. [`run_matrix`] equals
-//!   [`run_suite_serial`](crate::experiment::run_suite_serial)
-//!   cell-for-cell, and the static-ideal fold replicates
-//!   [`static_ideal`](crate::experiment::static_ideal)'s first-minimum
-//!   tie-breaking.
+//!   a cell runs, never its inputs. `tests/matrix_determinism.rs` checks
+//!   [`try_run_matrix`] cell-for-cell against a serial one-access-at-a-time
+//!   oracle at several worker counts, and the static-ideal fold against the
+//!   oracle's first-minimum sweep.
 //! * **Exactly-once generation.** Mappings are keyed by `(workload,
 //!   scenario, config fingerprint)` and traces by `(workload,
 //!   fingerprint)` — traces are scenario-independent, like the paper's
@@ -74,7 +73,7 @@ type MemoTable<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
 
 /// Memoizes mapping and trace generation across matrix cells.
 ///
-/// Cheap to create; hold one across several [`run_matrix_with`] calls to
+/// Cheap to create; hold one across several [`try_run_matrix_with`] calls to
 /// share inputs between figures that cover the same cells.
 #[derive(Debug, Default)]
 pub struct MatrixCache {
@@ -137,20 +136,10 @@ impl MatrixCache {
 
     /// The trace a workload replays, generating it on first request.
     /// Scenario-independent, exactly like the paper's per-benchmark Pin
-    /// traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a corpus replay fails; use [`MatrixCache::try_trace`]
-    /// to handle [`SimError::Corpus`] instead.
-    pub fn trace(&self, workload: WorkloadKind, config: &PaperConfig) -> Arc<Vec<u64>> {
-        self.try_trace(workload, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`MatrixCache::trace`]: serves from the corpus
-    /// store when one is attached and has a long-enough recording,
-    /// generating otherwise. The outcome (including a corpus failure)
-    /// is memoized, so the store is consulted at most once per key.
+    /// traces. Served from the corpus store when one is attached and has
+    /// a long-enough recording; a corpus failure surfaces as
+    /// [`SimError::Corpus`]. The outcome (including a failure) is
+    /// memoized, so the store is consulted at most once per key.
     pub fn try_trace(
         &self,
         workload: WorkloadKind,
@@ -215,25 +204,10 @@ impl MatrixCache {
     /// trace placed onto the cell's mapping (see
     /// [`PageIndex::resolve`](hytlb_mem::PageIndex::resolve)), computed on
     /// first request and shared by every scheme of the cell afterwards.
-    /// This hoists the per-access div/mod + placement lookup of the scalar
-    /// loop out of the schemes dimension entirely — with the paper set it
-    /// is paid once instead of six times per cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a corpus replay fails; use
-    /// [`MatrixCache::try_resolved_trace`] to handle
-    /// [`SimError::Corpus`] instead.
-    pub fn resolved_trace(
-        &self,
-        workload: WorkloadKind,
-        scenario: Scenario,
-        config: &PaperConfig,
-    ) -> Arc<Vec<VirtAddr>> {
-        self.try_resolved_trace(workload, scenario, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`MatrixCache::resolved_trace`].
+    /// This hoists the per-access div/mod + placement lookup out of the
+    /// schemes dimension entirely — with the paper set it is paid once
+    /// instead of six times per cell. Fails with [`SimError::Corpus`]
+    /// when the trace's corpus replay does.
     pub fn try_resolved_trace(
         &self,
         workload: WorkloadKind,
@@ -281,24 +255,9 @@ pub fn worker_count(config: &PaperConfig) -> usize {
 
 /// Runs every `(scenario, workload, scheme)` cell of the matrix on a
 /// bounded worker pool, one suite per scenario in input order. Inputs are
-/// generated exactly once via a fresh [`MatrixCache`].
-///
-/// # Panics
-///
-/// Panics if a cell fails; the message names the failing cell. Use
-/// [`try_run_matrix`] to handle the failure instead.
-#[must_use]
-pub fn run_matrix(
-    scenarios: &[Scenario],
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> Vec<SuiteResult> {
-    run_matrix_with(&MatrixCache::new(), scenarios, workloads, kinds, config)
-}
-
-/// Non-panicking [`run_matrix`]: a failing cell surfaces as
-/// [`SimError::Cell`] naming its `(scenario, workload, scheme)`.
+/// generated exactly once via a fresh [`MatrixCache`]. A failing cell
+/// surfaces as [`SimError::Cell`] naming its `(scenario, workload,
+/// scheme)`.
 pub fn try_run_matrix(
     scenarios: &[Scenario],
     workloads: &[WorkloadKind],
@@ -308,27 +267,9 @@ pub fn try_run_matrix(
     try_run_matrix_with(&MatrixCache::new(), scenarios, workloads, kinds, config)
 }
 
-/// [`run_matrix`] against a caller-owned cache, so consecutive matrices
-/// (e.g. several figures in one process) reuse mappings and traces.
-///
-/// # Panics
-///
-/// Panics if a cell fails; the message names the failing cell. Use
-/// [`try_run_matrix_with`] to handle the failure instead.
-#[must_use]
-pub fn run_matrix_with(
-    cache: &MatrixCache,
-    scenarios: &[Scenario],
-    workloads: &[WorkloadKind],
-    kinds: &[SchemeKind],
-    config: &PaperConfig,
-) -> Vec<SuiteResult> {
-    try_run_matrix_with(cache, scenarios, workloads, kinds, config)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`run_matrix_with`]: a failing cell surfaces as
-/// [`SimError::Cell`] naming its `(scenario, workload, scheme)`.
+/// [`try_run_matrix`] against a caller-owned cache, so consecutive
+/// matrices (e.g. several figures in one process) reuse mappings and
+/// traces.
 pub fn try_run_matrix_with(
     cache: &MatrixCache,
     scenarios: &[Scenario],
@@ -355,9 +296,11 @@ pub fn try_run_matrix_with(
                     .map(|&workload| {
                         Ok(WorkloadRow {
                             workload,
-                            runs: (0..kinds.len())
-                                .map(|_| results.next().expect("one run per cell"))
-                                .collect::<Result<Vec<RunStats>, SimError>>()?,
+                            runs: results.by_ref().take(kinds.len()).collect::<Result<
+                                Vec<RunStats>,
+                                SimError,
+                            >>(
+                            )?,
                         })
                     })
                     .collect::<Result<Vec<WorkloadRow>, SimError>>()?,
@@ -366,39 +309,35 @@ pub fn try_run_matrix_with(
         .collect()
 }
 
-/// [`run_matrix_with`] plus a trailing `Static Ideal` column: the sweep's
-/// `AnchorStatic` candidates join the scheme dimension of the pool, and
-/// each cell's winner is folded out afterwards with the same
-/// first-minimum tie-breaking as
-/// [`static_ideal`](crate::experiment::static_ideal).
-///
-/// # Panics
-///
-/// Panics if `sweep` is empty.
-#[must_use]
-pub fn run_matrix_with_static_ideal(
+/// [`try_run_matrix_with`] plus a trailing `Static Ideal` column: the
+/// sweep's `AnchorStatic` candidates join the scheme dimension of the
+/// pool, and each cell's winner is folded out afterwards — the first
+/// candidate with the fewest TLB misses, in sweep order. An empty `sweep`
+/// is [`SimError::EmptySweep`].
+pub fn try_run_matrix_with_static_ideal(
     cache: &MatrixCache,
     scenarios: &[Scenario],
     workloads: &[WorkloadKind],
     kinds: &[SchemeKind],
     sweep: &[u64],
     config: &PaperConfig,
-) -> Vec<SuiteResult> {
-    assert!(!sweep.is_empty(), "need at least one candidate distance");
+) -> Result<Vec<SuiteResult>, SimError> {
+    if sweep.is_empty() {
+        return Err(SimError::EmptySweep);
+    }
     let mut all_kinds: Vec<SchemeKind> = kinds.to_vec();
     all_kinds.extend(sweep.iter().map(|&d| SchemeKind::AnchorStatic(d)));
-    let mut suites = run_matrix_with(cache, scenarios, workloads, &all_kinds, config);
+    let mut suites = try_run_matrix_with(cache, scenarios, workloads, &all_kinds, config)?;
     for suite in &mut suites {
         suite.schemes.truncate(kinds.len());
         suite.schemes.push("Static Ideal".to_owned());
         for row in &mut suite.rows {
             let candidates = row.runs.split_off(kinds.len());
-            let best =
-                candidates.into_iter().min_by_key(RunStats::tlb_misses).expect("sweep nonempty");
-            row.runs.push(best);
+            // Nonempty: the sweep is, and every candidate ran.
+            row.runs.extend(candidates.into_iter().min_by_key(RunStats::tlb_misses));
         }
     }
-    suites
+    Ok(suites)
 }
 
 /// Runs the given cells on the worker pool and returns one result per
@@ -441,22 +380,15 @@ fn run_cells(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_suite_serial;
 
     fn tiny() -> PaperConfig {
         PaperConfig { accesses: 8_000, footprint_shift: 5, ..PaperConfig::default() }
     }
 
-    #[test]
-    fn matrix_matches_serial_reference() {
-        let config = PaperConfig { threads: Some(4), ..tiny() };
-        let scenarios = [Scenario::LowContiguity, Scenario::MaxContiguity];
-        let workloads = [WorkloadKind::Gups, WorkloadKind::Omnetpp];
-        let kinds = [SchemeKind::Baseline, SchemeKind::Thp, SchemeKind::AnchorDynamic];
-        let parallel = run_matrix(&scenarios, &workloads, &kinds, &config);
-        let serial: Vec<SuiteResult> =
-            scenarios.iter().map(|&s| run_suite_serial(s, &workloads, &kinds, &config)).collect();
-        assert_eq!(parallel, serial);
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("hytlb_matrix_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        root
     }
 
     #[test]
@@ -466,47 +398,35 @@ mod tests {
         let scenarios = [Scenario::LowContiguity, Scenario::HighContiguity];
         let workloads = [WorkloadKind::Gups, WorkloadKind::Mcf];
         let kinds = [SchemeKind::Baseline, SchemeKind::Rmm];
-        let _ = run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config);
+        try_run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.mapping_builds, scenarios.len() * workloads.len());
         assert_eq!(stats.trace_builds, workloads.len());
         assert_eq!(stats.resolved_builds, scenarios.len() * workloads.len());
         // A second matrix over the same cells generates nothing new.
-        let _ = run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config);
+        try_run_matrix_with(&cache, &scenarios, &workloads, &kinds, &config).unwrap();
         assert_eq!(cache.stats(), stats);
     }
 
     #[test]
-    fn static_ideal_column_matches_serial_fold() {
-        let config = PaperConfig { threads: Some(4), ..tiny() };
-        let sweep = [4u64, 64, 4096];
-        let kinds = [SchemeKind::Baseline, SchemeKind::AnchorDynamic];
-        let suites = run_matrix_with_static_ideal(
+    fn static_ideal_column_needs_a_candidate() {
+        let err = try_run_matrix_with_static_ideal(
             &MatrixCache::new(),
             &[Scenario::MediumContiguity],
             &[WorkloadKind::Canneal],
-            &kinds,
-            &sweep,
-            &config,
-        );
-        assert_eq!(suites.len(), 1);
-        let suite = &suites[0];
-        assert_eq!(suite.schemes, ["Base", "Dynamic", "Static Ideal"]);
-        let best = crate::experiment::static_ideal(
-            WorkloadKind::Canneal,
-            Scenario::MediumContiguity,
-            &sweep,
-            &config,
-        );
-        assert_eq!(suite.rows[0].runs[2], best);
+            &[SchemeKind::Baseline],
+            &[],
+            &tiny(),
+        )
+        .unwrap_err();
+        assert_eq!(err, SimError::EmptySweep);
     }
 
     #[test]
     fn corpus_replay_is_bit_identical_and_skips_generation() {
         let config = PaperConfig { threads: Some(2), ..tiny() };
         let workloads = [WorkloadKind::Gups, WorkloadKind::Mcf];
-        let root = std::env::temp_dir().join(format!("hytlb_matrix_corpus_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
+        let root = scratch_dir("corpus");
 
         // Generate once, spill to the store.
         let fresh = MatrixCache::new();
@@ -518,14 +438,14 @@ mod tests {
         // Replay from the store: same bytes, zero generator runs.
         let replay = MatrixCache::with_corpus(Arc::new(store));
         for &w in &workloads {
-            assert_eq!(replay.trace(w, &config), fresh.trace(w, &config), "{w:?}");
+            assert_eq!(replay.try_trace(w, &config), fresh.try_trace(w, &config), "{w:?}");
         }
         let stats = replay.stats();
         assert_eq!(stats.trace_loads, 2);
         assert_eq!(stats.trace_builds, 0);
 
         // A workload the corpus lacks falls back to generation.
-        let _ = replay.trace(WorkloadKind::Milc, &config);
+        replay.try_trace(WorkloadKind::Milc, &config).unwrap();
         assert_eq!(replay.stats().trace_builds, 1);
         std::fs::remove_dir_all(&root).ok();
     }
@@ -533,9 +453,7 @@ mod tests {
     #[test]
     fn corrupt_corpus_surfaces_as_corpus_error() {
         let config = PaperConfig { threads: Some(1), ..tiny() };
-        let root =
-            std::env::temp_dir().join(format!("hytlb_matrix_badcorpus_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
+        let root = scratch_dir("badcorpus");
         let mut store = TraceStore::open_or_create(&root).unwrap();
         MatrixCache::new().spill_traces(&mut store, &[WorkloadKind::Gups], &config).unwrap();
         // Flip a byte in the middle of the recorded file.
@@ -563,6 +481,39 @@ mod tests {
     }
 
     #[test]
+    fn corpus_trace_past_its_footprint_is_a_cell_error() {
+        // A well-formed recording under the right key whose last address
+        // lies one page past the footprint: placing it would index past
+        // the mapping, so the matrix must report the cell, not panic.
+        let config = PaperConfig { threads: Some(2), ..tiny() };
+        let workload = WorkloadKind::Gups;
+        let footprint = config.footprint_for(workload);
+        let root = scratch_dir("pastfootprint");
+        let mut store = TraceStore::open_or_create(&root).unwrap();
+        let mut trace = crate::experiment::trace_for(workload, &config);
+        *trace.last_mut().unwrap() = footprint * 4096 + 8;
+        store.record(workload.label(), footprint, config.seed, trace).unwrap();
+
+        let replay = MatrixCache::with_corpus(Arc::new(store));
+        let err = try_run_matrix_with(
+            &replay,
+            &[Scenario::LowContiguity],
+            &[workload],
+            &[SchemeKind::Baseline, SchemeKind::AnchorDynamic],
+            &config,
+        )
+        .unwrap_err();
+        match err {
+            SimError::Cell { workload, source, .. } => {
+                assert_eq!(workload, "gups");
+                assert!(matches!(*source, SimError::Corpus { .. }), "{source}");
+            }
+            other => panic!("expected a Cell error, got {other}"),
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn worker_count_resolution_order() {
         let mut config = tiny();
         config.threads = Some(3);
@@ -576,12 +527,13 @@ mod tests {
     #[test]
     fn single_thread_pool_still_covers_all_cells() {
         let config = PaperConfig { threads: Some(1), ..tiny() };
-        let suites = run_matrix(
+        let suites = try_run_matrix(
             &[Scenario::EagerPaging],
             &[WorkloadKind::Milc],
             &[SchemeKind::Baseline, SchemeKind::Cluster],
             &config,
-        );
+        )
+        .unwrap();
         assert_eq!(suites[0].rows[0].runs.len(), 2);
         assert_eq!(suites[0].rows[0].runs[0].accesses, config.accesses);
     }

@@ -238,18 +238,9 @@ pub fn suite_bars(suite: &SuiteResult) -> String {
     )
 }
 
-/// Serializes any result to pretty JSON for downstream tooling.
-///
-/// # Panics
-///
-/// Panics if serialization fails (the types here cannot fail to serialize).
-#[must_use]
-pub fn to_json<T: serde::Serialize>(value: &T) -> String {
-    try_to_json(value).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`to_json`]: a serializer failure surfaces as
-/// [`SimError::Serialize`] carrying the serializer's message.
+/// Serializes any result to pretty JSON for downstream tooling. A
+/// serializer failure surfaces as [`SimError::Serialize`] carrying the
+/// serializer's message.
 pub fn try_to_json<T: serde::Serialize>(value: &T) -> Result<String, SimError> {
     serde_json::to_string_pretty(value).map_err(|e| SimError::Serialize { detail: e.to_string() })
 }
@@ -258,18 +249,19 @@ pub fn try_to_json<T: serde::Serialize>(value: &T) -> Result<String, SimError> {
 mod tests {
     use super::*;
     use crate::config::{PaperConfig, SchemeKind};
-    use crate::experiment::run_suite;
+    use crate::experiment::try_run_suite;
     use hytlb_mem::Scenario;
     use hytlb_trace::WorkloadKind;
 
     fn small_suite() -> SuiteResult {
         let config = PaperConfig { accesses: 5_000, footprint_shift: 5, ..PaperConfig::default() };
-        run_suite(
+        try_run_suite(
             Scenario::MediumContiguity,
             &[WorkloadKind::Gups, WorkloadKind::Canneal],
             &[SchemeKind::Baseline, SchemeKind::AnchorDynamic],
             &config,
         )
+        .unwrap()
     }
 
     #[test]
@@ -341,7 +333,7 @@ mod tests {
     #[test]
     fn json_roundtrips() {
         let suite = small_suite();
-        let json = to_json(&suite);
+        let json = try_to_json(&suite).unwrap();
         let back: SuiteResult = serde_json::from_str(&json).unwrap();
         // Floats may lose a ULP through decimal JSON; compare the exact
         // integer payloads and structure.

@@ -26,6 +26,10 @@ use crate::writer::{TraceWriter, WriteSummary};
 /// Manifest schema version.
 const MANIFEST_VERSION: u32 = 1;
 
+/// Bytes per 4 KiB page: a footprint of `n` pages spans the logical
+/// addresses `[0, n × 4096)`.
+const PAGE_BYTES: u64 = 4096;
+
 /// One recorded trace in the corpus.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CorpusEntry {
@@ -160,7 +164,10 @@ impl TraceStore {
     /// Loads the first `accesses` addresses of the recorded trace for
     /// the key, or `None` when the corpus has no long-enough recording.
     /// Generators are deterministic streams, so the prefix of a longer
-    /// recording is bit-identical to a shorter generation.
+    /// recording is bit-identical to a shorter generation. An address
+    /// past the footprint (`>= footprint_pages × 4096`) has no page to be
+    /// placed on, so it is rejected as [`TraceFileError::Store`] here
+    /// instead of failing later, inside the simulator.
     pub fn load_prefix(
         &self,
         workload: &str,
@@ -183,7 +190,17 @@ impl TraceStore {
                 detail: format!("{}: file header disagrees with the manifest", entry.path),
             });
         }
-        file.read_prefix(accesses).map(Some)
+        let addresses = file.read_prefix(accesses)?;
+        let limit = footprint_pages.saturating_mul(PAGE_BYTES);
+        if let Some((i, &addr)) = addresses.iter().enumerate().find(|&(_, &a)| a >= limit) {
+            return Err(TraceFileError::Store {
+                detail: format!(
+                    "{}: access {i} addresses {addr:#x}, past the {footprint_pages}-page footprint",
+                    entry.path
+                ),
+            });
+        }
+        Ok(Some(addresses))
     }
 
     fn save_manifest(&self) -> Result<()> {
@@ -235,6 +252,21 @@ mod tests {
         assert!(store.load_prefix("gups", 512, 7, 1001).unwrap().is_none(), "too short");
         assert!(store.load_prefix("gups", 512, 8, 10).unwrap().is_none(), "wrong seed");
 
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn load_rejects_addresses_past_the_footprint() {
+        let root = scratch_store("pastfootprint");
+        let mut store = TraceStore::open_or_create(&root).unwrap();
+        let mut addresses = walk(100);
+        addresses[60] = 512 * 4096 + 8;
+        store.record("gups", 512, 7, addresses.iter().copied()).unwrap();
+        // The prefix before the bad address is still servable.
+        assert_eq!(store.load_prefix("gups", 512, 7, 60).unwrap().unwrap(), addresses[..60]);
+        let err = store.load_prefix("gups", 512, 7, 100).unwrap_err();
+        assert!(matches!(err, TraceFileError::Store { .. }), "{err}");
+        assert!(err.to_string().contains("access 60"), "{err}");
         fs::remove_dir_all(&root).ok();
     }
 

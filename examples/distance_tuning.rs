@@ -16,7 +16,7 @@ use hytlb::sim::experiment::{mapping_for, trace_for};
 use hytlb::sim::Machine;
 use hytlb::trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = PaperConfig { accesses: 300_000, footprint_shift: 3, ..PaperConfig::default() };
     let workload = WorkloadKind::Mcf;
     let scenario = Scenario::MediumContiguity;
@@ -35,7 +35,7 @@ fn main() {
     for &d in selector.candidates() {
         let cost = selector.cost(d, &hist);
         let run = Machine::for_scheme(SchemeKind::AnchorStatic(d), &map, &config)
-            .run(trace.iter().copied());
+            .try_run(trace.iter().copied())?;
         if run.tlb_misses() < best.1 {
             best = (d, run.tlb_misses());
         }
@@ -44,11 +44,12 @@ fn main() {
     let selected = selector.select(&hist);
     println!("\nAlgorithm 1 selects d = {selected}; the measured best is d = {}.", best.0);
     let selected_run = Machine::for_scheme(SchemeKind::AnchorStatic(selected), &map, &config)
-        .run(trace.iter().copied());
+        .try_run(trace.iter().copied())?;
     println!(
         "misses at selected vs best: {} vs {} ({:+.1}%)",
         selected_run.tlb_misses(),
         best.1,
         (selected_run.tlb_misses() as f64 / best.1.max(1) as f64 - 1.0) * 100.0
     );
+    Ok(())
 }

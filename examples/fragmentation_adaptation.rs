@@ -12,10 +12,10 @@
 //! ```
 
 use hytlb::prelude::*;
-use hytlb::sim::experiment::run_suite;
+use hytlb::sim::experiment::try_run_suite;
 use hytlb::trace::WorkloadKind;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let config = PaperConfig { accesses: 200_000, footprint_shift: 3, ..PaperConfig::default() };
     let kinds = [
         SchemeKind::Baseline,
@@ -30,7 +30,7 @@ fn main() {
         "scenario", "THP", "Cluster-2MB", "RMM", "Dynamic", "anchor distance"
     );
     for scenario in Scenario::all() {
-        let suite = run_suite(scenario, &[WorkloadKind::Canneal], &kinds, &config);
+        let suite = try_run_suite(scenario, &[WorkloadKind::Canneal], &kinds, &config)?;
         let row = &suite.rows[0];
         let base = &row.runs[0];
         let rel: Vec<f64> = row.runs.iter().map(|r| r.relative_misses_pct(base)).collect();
@@ -51,4 +51,5 @@ fn main() {
         );
     }
     println!("\nThe distance tracks the mapping: small when fragmented, huge when contiguous.");
+    Ok(())
 }

@@ -7,7 +7,7 @@
 
 use hytlb::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // 1. An OS mapping: 256 MB allocated with medium fragmentation
     //    (contiguous chunks of 1-512 pages, Table 4 of the paper).
     let footprint_pages = 64 * 1024;
@@ -26,10 +26,10 @@ fn main() {
 
     // 3. Run the paper's hybrid coalescing (dynamic anchor distance) and
     //    the baseline over the identical trace.
-    let base =
-        Machine::for_scheme(SchemeKind::Baseline, &mapping, &config).run(trace.iter().copied());
+    let base = Machine::for_scheme(SchemeKind::Baseline, &mapping, &config)
+        .try_run(trace.iter().copied())?;
     let anchor = Machine::for_scheme(SchemeKind::AnchorDynamic, &mapping, &config)
-        .run(trace.iter().copied());
+        .try_run(trace.iter().copied())?;
 
     println!("\n              walks (TLB misses)   translation CPI");
     for run in [&base, &anchor] {
@@ -40,4 +40,5 @@ fn main() {
         anchor.anchor_distance.expect("anchor scheme reports a distance")
     );
     println!("misses relative to baseline: {:.1}%", anchor.relative_misses_pct(&base));
+    Ok(())
 }

@@ -15,7 +15,7 @@ use hytlb::prelude::*;
 use hytlb::trace::WorkloadKind;
 use hytlb::tracefile::{TraceMeta, TraceReader, TraceWriter};
 
-fn main() -> std::io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = WorkloadKind::Mcf;
     let footprint = 32 * 1024;
     let seed = 7;
@@ -47,9 +47,10 @@ fn main() -> std::io::Result<()> {
     println!("{:<10} {:>12} {:>12}", "scenario", "base walks", "anchor walks");
     for scenario in [Scenario::LowContiguity, Scenario::MediumContiguity, Scenario::MaxContiguity] {
         let map = std::sync::Arc::new(scenario.generate(footprint, 3));
-        let base = Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(stream(&path)?);
-        let anchor =
-            Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(stream(&path)?);
+        let base =
+            Machine::for_scheme(SchemeKind::Baseline, &map, &config).try_run(stream(&path)?)?;
+        let anchor = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config)
+            .try_run(stream(&path)?)?;
         println!(
             "{:<10} {:>12} {:>12}   (d = {})",
             scenario.label(),

@@ -40,7 +40,7 @@ fn parse_scenario(name: &str) -> Option<Scenario> {
     Scenario::all().into_iter().find(|s| s.label() == name.to_ascii_lowercase())
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut workload = WorkloadKind::Canneal;
     let mut scenario = Scenario::MediumContiguity;
     let mut scheme = SchemeKind::AnchorDynamic;
@@ -58,7 +58,7 @@ fn main() {
                     "schemes:   base thp cluster cluster-2mb colt rmm dynamic regions anchor-d<N> \
                      (N a power of two in [2, 65536])"
                 );
-                return;
+                return Ok(());
             }
             "--workload" => {
                 let v = value(&mut args);
@@ -84,12 +84,13 @@ fn main() {
 
     let map = mapping_for(workload, scenario, &config);
     let trace = trace_for(workload, &config);
-    let base = Machine::for_scheme(SchemeKind::Baseline, &map, &config).run(trace.iter().copied());
-    let run = Machine::for_scheme(scheme, &map, &config).run(trace.iter().copied());
+    let base =
+        Machine::for_scheme(SchemeKind::Baseline, &map, &config).try_run(trace.iter().copied())?;
+    let run = Machine::for_scheme(scheme, &map, &config).try_run(trace.iter().copied())?;
 
     if json {
-        println!("{}", hytlb::sim::report::to_json(&run));
-        return;
+        println!("{}", hytlb::sim::report::try_to_json(&run)?);
+        return Ok(());
     }
     println!(
         "{} on {} under {}: footprint {} pages, {} chunks",
@@ -114,4 +115,5 @@ fn main() {
     if let Some(d) = run.anchor_distance {
         println!("  anchor distance: {d}");
     }
+    Ok(())
 }

@@ -36,8 +36,9 @@
 //! let config = PaperConfig::default();
 //! let mut machine = Machine::for_scheme(SchemeKind::AnchorDynamic, &mapping, &config);
 //! let trace = WorkloadKind::Gups.generator(16 * 1024, 7).take(10_000);
-//! let stats = machine.run(trace);
+//! let stats = machine.try_run(trace)?;
 //! assert!(stats.accesses > 0);
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +59,7 @@ pub mod prelude {
     pub use hytlb_core::{AnchorConfig, AnchorScheme, DistanceSelector};
     pub use hytlb_mem::{AddressSpaceMap, ContiguityHistogram, Scenario};
     pub use hytlb_schemes::TranslationScheme;
-    pub use hytlb_sim::{Machine, PaperConfig, RunStats, SchemeKind};
+    pub use hytlb_sim::{Machine, PaperConfig, RunStats, SchemeKind, SimError};
     pub use hytlb_trace::WorkloadKind;
     pub use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 }

@@ -1,12 +1,16 @@
-//! Bit-identity of the batched, pre-resolved hot loop against the scalar
-//! logical-trace reference, across the whole scheme × scenario matrix, plus
-//! property tests for the `PageIndex` cursor fast paths.
+//! Bit-identity of the chunked run loop against the one-access-at-a-time
+//! oracle in `tests/common`, across the whole scheme × scenario matrix and
+//! through both of its inputs — logical traces resolved chunk by chunk
+//! ([`Machine::try_run`]) and pre-resolved ones
+//! ([`Machine::try_run_resolved_with_flush_period`]) — plus property tests
+//! for the `PageIndex` cursor fast paths.
 //!
-//! The batched loop ([`Machine::try_run_resolved_with_flush_period`]) cuts
-//! chunks so every epoch and flush boundary lands on a chunk end; these
-//! tests pick epoch lengths and flush periods that are *not* multiples of
-//! the batch size, so boundaries fall mid-chunk and the cutting logic is
-//! actually exercised.
+//! The loop cuts chunks so every epoch and flush boundary lands on a chunk
+//! end; these tests pick epoch lengths and flush periods that are *not*
+//! multiples of the 4,096-access chunk, so boundaries fall mid-chunk and
+//! the cutting logic is actually exercised.
+
+mod common;
 
 use hytlb::mem::{AddressSpaceMap, PageCursor, Scenario};
 use hytlb::sim::{Machine, PaperConfig, SchemeKind};
@@ -29,7 +33,7 @@ fn all_kinds() -> Vec<SchemeKind> {
 }
 
 /// A config whose epoch length (3,333 accesses) is far from any multiple of
-/// the 4,096-access batch size, so every epoch boundary lands mid-chunk.
+/// the 4,096-access chunk, so every epoch boundary lands mid-chunk.
 fn boundary_config() -> PaperConfig {
     PaperConfig {
         accesses: 20_000,
@@ -42,25 +46,28 @@ fn boundary_config() -> PaperConfig {
 #[test]
 fn batched_loop_is_bit_identical_across_the_matrix() {
     let config = boundary_config();
+    assert_eq!(config.epoch_accesses(), 3_333);
     let workload = WorkloadKind::Canneal;
-    // 2,500 is coprime with the batch size and shorter than an epoch, so
-    // flushes and epochs interleave in both orders during the run.
-    for flush_period in [u64::MAX, 2_500] {
-        for scenario in Scenario::all() {
-            let footprint = config.footprint_for(workload);
-            let map = Arc::new(scenario.generate(footprint, config.seed));
-            let index = Arc::new(map.page_index());
-            let trace: Vec<u64> =
-                workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
-            let resolved = index.resolve(&trace);
-            for kind in all_kinds() {
-                let scalar = Machine::for_scheme_indexed(kind, &map, &index, &config)
-                    .try_run_with_flush_period(trace.iter().copied(), flush_period)
-                    .expect("mapped trace");
-                let batched = Machine::for_scheme_indexed(kind, &map, &index, &config)
+    for scenario in Scenario::all() {
+        let footprint = config.footprint_for(workload);
+        let map = Arc::new(scenario.generate(footprint, config.seed));
+        let index = Arc::new(map.page_index());
+        let trace: Vec<u64> =
+            workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
+        let resolved = index.resolve(&trace);
+        for kind in all_kinds() {
+            let machine = || Machine::for_scheme_indexed(kind, &map, &index, &config);
+            let oracle = common::run_scalar(kind, &map, &config, &trace, u64::MAX);
+            let logical = machine().try_run(trace.iter().copied()).expect("mapped trace");
+            assert_eq!(logical, oracle, "{kind} / {scenario} / logical input");
+            // 2,500 is coprime with the chunk size and shorter than an
+            // epoch, so flushes and epochs interleave in both orders.
+            for flush_period in [u64::MAX, 2_500] {
+                let oracle = common::run_scalar(kind, &map, &config, &trace, flush_period);
+                let batched = machine()
                     .try_run_resolved_with_flush_period(&resolved, flush_period)
                     .expect("mapped trace");
-                assert_eq!(batched, scalar, "{kind} / {scenario} / flush {flush_period}");
+                assert_eq!(batched, oracle, "{kind} / {scenario} / flush {flush_period}");
             }
         }
     }
@@ -68,8 +75,8 @@ fn batched_loop_is_bit_identical_across_the_matrix() {
 
 #[test]
 fn batched_loop_survives_flush_after_every_access() {
-    // flush_period == 0 flushes after every access in the scalar loop; the
-    // batched loop must degrade to one-access chunks and still agree.
+    // flush_period == 0 flushes after every access; the loop must degrade
+    // to one-access chunks and still agree with the oracle.
     let config = PaperConfig { accesses: 2_000, ..boundary_config() };
     let workload = WorkloadKind::Gups;
     let footprint = config.footprint_for(workload);
@@ -79,13 +86,11 @@ fn batched_loop_survives_flush_after_every_access() {
         workload.generator(footprint, config.seed).take(config.accesses as usize).collect();
     let resolved = index.resolve(&trace);
     for kind in [SchemeKind::Baseline, SchemeKind::AnchorDynamic] {
-        let scalar = Machine::for_scheme_indexed(kind, &map, &index, &config)
-            .try_run_with_flush_period(trace.iter().copied(), 0)
-            .expect("mapped trace");
+        let oracle = common::run_scalar(kind, &map, &config, &trace, 0);
         let batched = Machine::for_scheme_indexed(kind, &map, &index, &config)
             .try_run_resolved_with_flush_period(&resolved, 0)
             .expect("mapped trace");
-        assert_eq!(batched, scalar, "{kind} with flush_period 0");
+        assert_eq!(batched, oracle, "{kind} with flush_period 0");
     }
 }
 

@@ -1,10 +1,16 @@
 //! The parallel matrix driver must be bit-identical to the serial
-//! reference, cell for cell, at any worker count — the contract that lets
-//! every figure binary run on the pool without changing a single number.
+//! one-access-at-a-time oracle in `tests/common`, cell for cell, at any
+//! worker count — the contract that lets every figure binary run on the
+//! pool without changing a single number.
 
+mod common;
+
+use common::{run_suite_serial, static_ideal};
 use hytlb::prelude::*;
-use hytlb::sim::experiment::{run_suite, run_suite_serial, static_ideal};
-use hytlb::sim::matrix::{run_matrix, run_matrix_with, run_matrix_with_static_ideal, MatrixCache};
+use hytlb::sim::experiment::try_run_suite;
+use hytlb::sim::matrix::{
+    try_run_matrix, try_run_matrix_with, try_run_matrix_with_static_ideal, MatrixCache,
+};
 use hytlb::trace::WorkloadKind;
 
 fn tiny_config() -> PaperConfig {
@@ -22,7 +28,7 @@ fn run_matrix_equals_serial_reference_cell_for_cell() {
         .collect();
     for threads in [1, 2, 7] {
         let config = PaperConfig { threads: Some(threads), ..tiny_config() };
-        let parallel = run_matrix(&scenarios, &workloads, &kinds, &config);
+        let parallel = try_run_matrix(&scenarios, &workloads, &kinds, &config).unwrap();
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.scenario, s.scenario);
@@ -42,7 +48,7 @@ fn run_suite_is_matrix_backed_and_unchanged() {
     let config = PaperConfig { threads: Some(3), ..tiny_config() };
     let kinds = [SchemeKind::Baseline, SchemeKind::Cluster2Mb];
     let workloads = [WorkloadKind::Milc, WorkloadKind::Mcf];
-    let suite = run_suite(Scenario::MediumContiguity, &workloads, &kinds, &config);
+    let suite = try_run_suite(Scenario::MediumContiguity, &workloads, &kinds, &config).unwrap();
     let reference = run_suite_serial(Scenario::MediumContiguity, &workloads, &kinds, &config);
     assert_eq!(suite, reference);
 }
@@ -54,14 +60,15 @@ fn static_ideal_column_replicates_serial_sweep_tie_breaking() {
     // tie-breaking is exercised, not just the unique-winner path.
     let sweep = [4u64, 8, 32, 4096];
     let kinds = [SchemeKind::Baseline];
-    let suites = run_matrix_with_static_ideal(
+    let suites = try_run_matrix_with_static_ideal(
         &MatrixCache::new(),
         &[Scenario::MediumContiguity, Scenario::MaxContiguity],
         &[WorkloadKind::Canneal, WorkloadKind::Milc],
         &kinds,
         &sweep,
         &config,
-    );
+    )
+    .unwrap();
     for suite in &suites {
         assert_eq!(suite.schemes.last().map(String::as_str), Some("Static Ideal"));
         for row in &suite.rows {
@@ -77,9 +84,13 @@ fn shared_cache_across_matrices_changes_nothing() {
     let kinds = [SchemeKind::Baseline, SchemeKind::AnchorDynamic];
     let workloads = [WorkloadKind::Gups];
     let cache = MatrixCache::new();
-    let first = run_matrix_with(&cache, &[Scenario::LowContiguity], &workloads, &kinds, &config);
+    let run = || {
+        try_run_matrix_with(&cache, &[Scenario::LowContiguity], &workloads, &kinds, &config)
+            .unwrap()
+    };
+    let first = run();
     // The second run is served entirely from the cache.
-    let second = run_matrix_with(&cache, &[Scenario::LowContiguity], &workloads, &kinds, &config);
+    let second = run();
     assert_eq!(first, second);
     let stats = cache.stats();
     assert_eq!(stats.mapping_builds, 1);

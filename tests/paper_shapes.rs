@@ -5,7 +5,7 @@
 //! model, scheme) that breaks a published conclusion fails CI.
 
 use hytlb::prelude::*;
-use hytlb::sim::experiment::run_suite;
+use hytlb::sim::experiment::try_run_suite;
 use hytlb::trace::WorkloadKind;
 
 fn config() -> PaperConfig {
@@ -29,7 +29,8 @@ fn workloads() -> [WorkloadKind; 4] {
 fn dynamic_is_best_or_tied_everywhere() {
     let config = config();
     for scenario in Scenario::all() {
-        let suite = run_suite(scenario, &workloads(), &SchemeKind::paper_set(), &config);
+        let suite =
+            try_run_suite(scenario, &workloads(), &SchemeKind::paper_set(), &config).unwrap();
         let means = suite.mean_relative_misses();
         // Columns: Base THP Cluster Cluster-2MB RMM Dynamic.
         let dynamic = means[5];
@@ -46,19 +47,21 @@ fn dynamic_is_best_or_tied_everywhere() {
 #[test]
 fn prior_schemes_have_their_published_failure_modes() {
     let config = config();
-    let low = run_suite(
+    let low = try_run_suite(
         Scenario::LowContiguity,
         &workloads(),
         &[SchemeKind::Baseline, SchemeKind::Cluster, SchemeKind::Rmm],
         &config,
     )
+    .unwrap()
     .mean_relative_misses();
-    let max = run_suite(
+    let max = try_run_suite(
         Scenario::MaxContiguity,
         &workloads(),
         &[SchemeKind::Baseline, SchemeKind::Cluster, SchemeKind::Rmm],
         &config,
     )
+    .unwrap()
     .mean_relative_misses();
     assert!(low[1] < 95.0, "cluster helps at low contiguity: {low:?}");
     assert!(low[2] > 95.0, "RMM useless at low contiguity: {low:?}");
@@ -71,8 +74,13 @@ fn prior_schemes_have_their_published_failure_modes() {
 fn selected_distances_track_contiguity_regimes() {
     let config = config();
     let d_for = |scenario| {
-        let suite =
-            run_suite(scenario, &[WorkloadKind::Canneal], &[SchemeKind::AnchorDynamic], &config);
+        let suite = try_run_suite(
+            scenario,
+            &[WorkloadKind::Canneal],
+            &[SchemeKind::AnchorDynamic],
+            &config,
+        )
+        .unwrap();
         suite.rows[0].runs[0].anchor_distance.expect("anchor run")
     };
     let low = d_for(Scenario::LowContiguity);
@@ -88,12 +96,13 @@ fn selected_distances_track_contiguity_regimes() {
 #[test]
 fn anchor_coverage_scales_beyond_hw_coalescing() {
     let config = config();
-    let suite = run_suite(
+    let suite = try_run_suite(
         Scenario::MaxContiguity,
         &[WorkloadKind::Milc],
         &[SchemeKind::Cluster2Mb, SchemeKind::Colt, SchemeKind::AnchorDynamic],
         &config,
-    );
+    )
+    .unwrap();
     let runs = &suite.rows[0].runs;
     let (cluster, colt, anchor) =
         (runs[0].tlb_misses(), runs[1].tlb_misses(), runs[2].tlb_misses());

@@ -83,8 +83,8 @@ fn flush_period_runs_are_bit_identical_from_corpus() {
     let replayed = MatrixCache::with_corpus(Arc::new(TraceStore::open_or_create(&root).unwrap()));
 
     // The resolved traces must already be identical…
-    let resolved_gen = generated.resolved_trace(workload, scenario, &config);
-    let resolved_replay = replayed.resolved_trace(workload, scenario, &config);
+    let resolved_gen = generated.try_resolved_trace(workload, scenario, &config).unwrap();
+    let resolved_replay = replayed.try_resolved_trace(workload, scenario, &config).unwrap();
     assert_eq!(resolved_gen, resolved_replay, "resolved traces differ");
 
     // …and so must full runs, for every scheme at every flush period.

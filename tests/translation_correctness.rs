@@ -3,7 +3,7 @@
 //! contract of the whole stack (mem → pagetable → tlb → schemes → sim).
 
 use hytlb::prelude::*;
-use hytlb::sim::experiment::{mapping_for, trace_for};
+use hytlb::sim::experiment::{mapping_for, trace_for, try_run_suite};
 use hytlb::trace::WorkloadKind;
 
 fn all_kinds() -> Vec<SchemeKind> {
@@ -43,11 +43,13 @@ fn machine_runs_agree_with_direct_scheme_access() {
     let config = tiny_config();
     let map = mapping_for(WorkloadKind::Milc, Scenario::MediumContiguity, &config);
     let trace = trace_for(WorkloadKind::Milc, &config);
-    let run_a =
-        Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(trace.iter().copied());
-    let run_b =
-        Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(trace.iter().copied());
-    assert_eq!(run_a, run_b, "simulation must be deterministic");
+    let run = || {
+        Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config)
+            .try_run(trace.iter().copied())
+            .unwrap()
+    };
+    let run_a = run();
+    assert_eq!(run_a, run(), "simulation must be deterministic");
     assert_eq!(run_a.accesses, config.accesses);
 }
 
@@ -57,7 +59,7 @@ fn miss_counts_are_internally_consistent() {
     for kind in all_kinds() {
         let map = mapping_for(WorkloadKind::Gups, Scenario::LowContiguity, &config);
         let trace = trace_for(WorkloadKind::Gups, &config);
-        let run = Machine::for_scheme(kind, &map, &config).run(trace);
+        let run = Machine::for_scheme(kind, &map, &config).try_run(trace).unwrap();
         let s = &run.stats;
         assert_eq!(
             s.accesses,
@@ -82,7 +84,7 @@ fn anchor_never_loses_to_itself_across_epochs() {
     };
     let map = mapping_for(WorkloadKind::Canneal, Scenario::MediumContiguity, &config);
     let trace = trace_for(WorkloadKind::Canneal, &config);
-    let run = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).run(trace);
+    let run = Machine::for_scheme(SchemeKind::AnchorDynamic, &map, &config).try_run(trace).unwrap();
     let d = run.anchor_distance.expect("anchor distance");
     assert!(d.is_power_of_two());
 }
@@ -91,23 +93,25 @@ fn anchor_never_loses_to_itself_across_epochs() {
 fn paper_set_ordering_on_extreme_scenarios() {
     // The coarse shape of Figure 9's two extreme columns.
     let config = PaperConfig { accesses: 40_000, footprint_shift: 5, ..PaperConfig::default() };
-    let suite = hytlb::sim::experiment::run_suite(
+    let suite = try_run_suite(
         Scenario::MaxContiguity,
         &[WorkloadKind::Milc, WorkloadKind::Canneal],
         &SchemeKind::paper_set(),
         &config,
-    );
+    )
+    .unwrap();
     let means = suite.mean_relative_misses();
     // Columns: Base THP Cluster Cluster-2MB RMM Dynamic.
     assert!(means[4] < 10.0, "RMM nearly eliminates misses at max contiguity: {means:?}");
     assert!(means[5] < 10.0, "Dynamic matches RMM at max contiguity: {means:?}");
 
-    let suite = hytlb::sim::experiment::run_suite(
+    let suite = try_run_suite(
         Scenario::LowContiguity,
         &[WorkloadKind::Milc, WorkloadKind::Canneal],
         &SchemeKind::paper_set(),
         &config,
-    );
+    )
+    .unwrap();
     let means = suite.mean_relative_misses();
     assert!(means[1] > 95.0, "THP ineffective at low contiguity: {means:?}");
     assert!(means[4] > 95.0, "RMM ineffective at low contiguity: {means:?}");
