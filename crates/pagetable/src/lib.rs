@@ -10,8 +10,6 @@
 //! * [`PageTable`] — a real 4-level radix table (PML4→PDPT→PD→PT) with 2 MB
 //!   leaf entries at the PD level, built from an
 //!   [`AddressSpaceMap`](hytlb_mem::AddressSpaceMap).
-//! * [`PageWalker`] — walks the radix table, charging the paper's fixed
-//!   50-cycle walk latency (Table 3) or an optional per-level model.
 //! * [`AnchoredPageTable`] — maintains anchor contiguity fields for a given
 //!   anchor distance, answers anchor probes, and models the cost of
 //!   re-anchoring the table when the OS changes the distance (§3.3).
@@ -38,7 +36,6 @@ mod anchored;
 mod pte;
 mod pwc;
 mod table;
-mod walker;
 
 pub use anchored::{is_valid_anchor_distance, AnchorProbe, AnchoredPageTable, ReanchorCost};
 pub use pte::{
@@ -47,4 +44,3 @@ pub use pte::{
 };
 pub use pwc::{CachedWalkResult, CachedWalker};
 pub use table::{LeafEntry, PageTable};
-pub use walker::{PageWalker, WalkLatency, WalkResult};

@@ -253,48 +253,16 @@ impl PageTable {
     }
 
     /// Looks a VPN up, returning the leaf translation if mapped.
+    #[inline]
     #[must_use]
     pub fn lookup(&self, vpn: VirtPageNum) -> Option<LeafEntry> {
-        let mut node = &self.root;
-        for level in 0..LEVELS {
-            let idx = index_at(vpn, level);
-            match node {
-                Node::Interior { entries, children } => {
-                    let e = entries[idx];
-                    if !e.is_present() {
-                        return None;
-                    }
-                    if e.is_huge() {
-                        // PS bit at the PDPT level (1) = 1 GB leaf; at the
-                        // PD level (2) = 2 MB leaf.
-                        let size = if level == 1 { PageSize::Giant1G } else { PageSize::Huge2M };
-                        return Some(LeafEntry {
-                            head_vpn: vpn.align_down(size.base_pages()),
-                            head_pfn: e.pfn(),
-                            size,
-                            perms: e.permissions(),
-                        });
-                    }
-                    node = children[idx].as_ref()?;
-                }
-                Node::Leaf { entries } => {
-                    let e = entries[idx];
-                    return e.is_present().then(|| LeafEntry {
-                        head_vpn: vpn,
-                        head_pfn: e.pfn(),
-                        size: PageSize::Base4K,
-                        perms: e.permissions(),
-                    });
-                }
-            }
-        }
-        None
+        self.lookup_with_depth(vpn).0
     }
 
-    /// [`PageTable::lookup`] and [`PageTable::walk_depth`] fused into one
-    /// radix traversal: returns the leaf translation (if mapped) together
-    /// with the number of nodes touched. This is the walker's per-miss hot
-    /// path — one descent instead of two.
+    /// The radix descent: returns the leaf translation (if mapped) together
+    /// with the number of page-table nodes a hardware walker touches — 4
+    /// for a 4 KB leaf, 3 for a 2 MB leaf, 2 for a 1 GB leaf, and however
+    /// far it got before finding a hole for unmapped addresses.
     #[must_use]
     pub fn lookup_with_depth(&self, vpn: VirtPageNum) -> (Option<LeafEntry>, u32) {
         let mut node = &self.root;
@@ -309,6 +277,8 @@ impl PageTable {
                         return (None, depth);
                     }
                     if e.is_huge() {
+                        // PS bit at the PDPT level (1) = 1 GB leaf; at the
+                        // PD level (2) = 2 MB leaf.
                         let size = if level == 1 { PageSize::Giant1G } else { PageSize::Huge2M };
                         let leaf = LeafEntry {
                             head_vpn: vpn.align_down(size.base_pages()),
@@ -336,33 +306,6 @@ impl PageTable {
             }
         }
         (None, depth)
-    }
-
-    /// Number of page-table node accesses a hardware walker performs to
-    /// resolve `vpn`: 4 for a 4 KB leaf, 3 for a 2 MB leaf, and however far
-    /// it got before finding a hole for unmapped addresses.
-    #[must_use]
-    pub fn walk_depth(&self, vpn: VirtPageNum) -> u32 {
-        let mut node = &self.root;
-        let mut depth = 0;
-        for level in 0..LEVELS {
-            let idx = index_at(vpn, level);
-            depth += 1;
-            match node {
-                Node::Interior { entries, children } => {
-                    let e = entries[idx];
-                    if !e.is_present() || e.is_huge() {
-                        return depth;
-                    }
-                    match children[idx].as_ref() {
-                        Some(c) => node = c,
-                        None => return depth,
-                    }
-                }
-                Node::Leaf { .. } => return depth,
-            }
-        }
-        depth
     }
 
     fn pt_leaf_entries(&self, vpn: VirtPageNum) -> Option<&[PageTableEntry; ENTRIES]> {
@@ -482,7 +425,7 @@ mod tests {
     fn unmapped_lookup_is_none() {
         let pt = PageTable::new();
         assert_eq!(pt.lookup(VirtPageNum::new(12345)), None);
-        assert_eq!(pt.walk_depth(VirtPageNum::new(12345)), 1);
+        assert_eq!(pt.lookup_with_depth(VirtPageNum::new(12345)).1, 1);
     }
 
     #[test]
@@ -494,7 +437,7 @@ mod tests {
         assert_eq!(leaf.head_pfn, PhysFrameNum::new(42));
         assert_eq!(leaf.size, PageSize::Base4K);
         assert_eq!(leaf.pfn_for(vpn), PhysFrameNum::new(42));
-        assert_eq!(pt.walk_depth(vpn), 4);
+        assert_eq!(pt.lookup_with_depth(vpn).1, 4);
         assert_eq!(pt.mapped_base_pages(), 1);
     }
 
@@ -508,7 +451,7 @@ mod tests {
         assert_eq!(leaf.size, PageSize::Huge2M);
         assert_eq!(leaf.head_vpn, head);
         assert_eq!(leaf.pfn_for(inner), PhysFrameNum::new(512 * 3 + 100));
-        assert_eq!(pt.walk_depth(inner), 3);
+        assert_eq!(pt.lookup_with_depth(inner).1, 3);
     }
 
     #[test]
@@ -558,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_probe_agrees_with_lookup_and_walk_depth() {
+    fn descent_depth_matches_leaf_level() {
         let map = Scenario::MediumContiguity.generate(4096, 9);
         let pt = PageTable::from_map(&map, true);
         // Mapped pages, their neighbours (often unmapped holes), and a few
@@ -569,12 +512,18 @@ mod tests {
             .flat_map(|vpn| [vpn, vpn + 1])
             .chain([VirtPageNum::new(0), VirtPageNum::new(1 << 30)]);
         for vpn in probes {
-            assert_eq!(pt.lookup_with_depth(vpn), (pt.lookup(vpn), pt.walk_depth(vpn)), "{vpn}");
+            let (leaf, depth) = pt.lookup_with_depth(vpn);
+            assert_eq!(leaf.map(|l| l.pfn_for(vpn)), map.translate(vpn), "{vpn}");
+            match leaf.map(|l| l.size) {
+                Some(PageSize::Base4K) => assert_eq!(depth, 4, "{vpn}"),
+                Some(size) => assert_eq!((size, depth), (PageSize::Huge2M, 3), "{vpn}"),
+                None => assert!((1..=4).contains(&depth), "{vpn}: depth {depth}"),
+            }
         }
         let mut giant = PageTable::new();
         giant.map_giant(VirtPageNum::new(0), PhysFrameNum::new(0), rw());
-        let vpn = VirtPageNum::new(77);
-        assert_eq!(giant.lookup_with_depth(vpn), (giant.lookup(vpn), giant.walk_depth(vpn)));
+        let (leaf, depth) = giant.lookup_with_depth(VirtPageNum::new(77));
+        assert_eq!((leaf.map(|l| l.size), depth), (Some(PageSize::Giant1G), 2));
     }
 
     #[test]

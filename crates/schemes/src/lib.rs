@@ -3,13 +3,13 @@
 //!
 //! Every scheme (including the hybrid-coalescing scheme in `hytlb-core`) is
 //! an [`Mmu`] around one [`L2Stage`]. The `Mmu` owns the L1, the shared L2
-//! array, the page walker, the Table 3 latency model and the statistics,
-//! and runs the one access sequence: L1 → L2 4 KB → L2 2 MB → the stage's
-//! coalesced probe → page walk → the stage's fill. A stage supplies only
-//! what sets its scheme apart. Every `Mmu` implements
-//! [`TranslationScheme`]: feed it a stream of virtual addresses and it
-//! reports, per access, which structure resolved the translation and how
-//! many cycles it cost.
+//! array, the Table 3 latency model and the statistics, and runs the one
+//! access sequence: L1 → L2 4 KB → L2 2 MB → the stage's coalesced probe →
+//! page walk → the stage's fill. A stage supplies only what sets its scheme
+//! apart. Every `Mmu` implements [`TranslationScheme`]: feed it a stream of
+//! virtual addresses and it reports, per access, which structure resolved
+//! the translation; [`LatencyModel::charge`] prices that path into the
+//! scheme's [`SchemeStats::cycles`].
 //!
 //! Schemes provided here:
 //!

@@ -1,16 +1,18 @@
 //! The one translation pipeline every scheme runs.
 //!
 //! [`Mmu`] owns what every scheme shares — the split L1, the shared L2
-//! array, the page walker, the Table 3 latency model and the statistics —
-//! and is the only code that runs the access sequence of the paper's
-//! Figure 5:
+//! array, the Table 3 latency model and the statistics — and is the only
+//! code that runs the access sequence of the paper's Figure 5:
 //!
 //! 1. L1 probe (latency hidden);
 //! 2. L2 4 KB probe, then 2 MB probe when the stage's regular array holds
 //!    2 MB entries (7 cycles on a hit);
 //! 3. the stage's coalesced probe (8 cycles on a coalesced hit);
-//! 4. a walk of the stage's page table, the stage's fill decision, and an
-//!    L1 fill at the leaf's size.
+//! 4. a walk of the stage's page table (50 cycles), the stage's fill
+//!    decision, and an L1 fill at the leaf's size.
+//!
+//! Every access is priced once, by [`LatencyModel::charge`] on the path it
+//! took, when the MMU records it in [`SchemeStats`].
 //!
 //! A scheme is an [`L2Stage`]: it supplies only what sets it apart — its
 //! coalesced probe, its fill, its page table, and flush, geometry and epoch
@@ -18,9 +20,9 @@
 
 use crate::scheme::{AccessResult, LatencyModel, SchemeStats, TranslationPath, TranslationScheme};
 use crate::shared_l2::SharedL2;
-use hytlb_pagetable::{LeafEntry, PageTable, PageWalker};
+use hytlb_pagetable::{LeafEntry, PageTable};
 use hytlb_tlb::{L1Tlb, TlbGeometry};
-use hytlb_types::{Cycles, PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
+use hytlb_types::{PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 
 /// The outcome of a stage's coalesced probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,12 +89,11 @@ pub trait L2Stage: Send {
     }
 }
 
-/// An MMU: the shared L1/L2/walker pipeline around one [`L2Stage`].
+/// An MMU: the shared L1/L2/page-walk pipeline around one [`L2Stage`].
 #[derive(Debug)]
 pub struct Mmu<S> {
     l1: L1Tlb,
     l2: SharedL2,
-    walker: PageWalker,
     latency: LatencyModel,
     stats: SchemeStats,
     stage: S,
@@ -100,17 +101,10 @@ pub struct Mmu<S> {
 
 impl<S: L2Stage> Mmu<S> {
     /// Assembles an MMU from a stage, the stage's shared-array geometry and
-    /// a latency model, with the paper's L1 and walker.
+    /// a latency model, with the paper's L1.
     #[must_use]
     pub fn from_stage(stage: S, l2: SharedL2, latency: LatencyModel) -> Self {
-        Mmu {
-            l1: L1Tlb::paper_default(),
-            l2,
-            walker: PageWalker::default(),
-            latency,
-            stats: SchemeStats::default(),
-            stage,
-        }
+        Mmu { l1: L1Tlb::paper_default(), l2, latency, stats: SchemeStats::default(), stage }
     }
 
     /// The scheme-specific stage.
@@ -128,11 +122,7 @@ impl<S: L2Stage> Mmu<S> {
     #[inline]
     fn translate(&mut self, vpn: VirtPageNum) -> AccessResult {
         if let Some(pfn) = self.l1.lookup(vpn) {
-            return AccessResult {
-                path: TranslationPath::L1Hit,
-                cycles: Cycles::ZERO,
-                pfn: Some(pfn),
-            };
+            return AccessResult { path: TranslationPath::L1Hit, pfn: Some(pfn) };
         }
         let (path, pfn, size) = if let Some(pfn) = self.l2.lookup_4k(vpn) {
             (TranslationPath::L2RegularHit, pfn, PageSize::Base4K)
@@ -146,23 +136,17 @@ impl<S: L2Stage> Mmu<S> {
             }
         };
         self.l1.insert(vpn, pfn, size);
-        let cycles = if path == TranslationPath::CoalescedHit {
-            self.latency.coalesced_hit
-        } else {
-            self.latency.l2_hit
-        };
-        AccessResult { path, cycles, pfn: Some(pfn) }
+        AccessResult { path, pfn: Some(pfn) }
     }
 
     fn walk(&mut self, vpn: VirtPageNum, miss: S::Miss) -> AccessResult {
-        let walk = self.walker.walk(self.stage.table(), vpn);
-        let Some(leaf) = walk.leaf else {
-            return AccessResult { path: TranslationPath::Fault, cycles: walk.cycles, pfn: None };
+        let Some(leaf) = self.stage.table().lookup(vpn) else {
+            return AccessResult { path: TranslationPath::Fault, pfn: None };
         };
         self.stage.fill(&mut self.l2, vpn, &leaf, miss);
         let pfn = leaf.pfn_for(vpn);
         self.l1.insert(vpn, pfn, leaf.size);
-        AccessResult { path: TranslationPath::Walk, cycles: walk.cycles, pfn: Some(pfn) }
+        AccessResult { path: TranslationPath::Walk, pfn: Some(pfn) }
     }
 }
 
@@ -173,7 +157,7 @@ impl<S: L2Stage> TranslationScheme for Mmu<S> {
 
     fn access(&mut self, vaddr: VirtAddr) -> AccessResult {
         let result = self.translate(vaddr.page_number());
-        self.stats.record(result);
+        self.stats.record(result.path, self.latency.charge(result.path));
         result
     }
 

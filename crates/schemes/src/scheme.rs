@@ -3,11 +3,15 @@
 use hytlb_tlb::TlbGeometry;
 use hytlb_types::{Cycles, PhysFrameNum, VirtAddr};
 
-/// The timing model of the paper's Table 3.
+/// The timing model of the paper's Table 3: the one price list for a
+/// translation.
 ///
 /// L1 TLB hits are free (the L1 TLB is accessed in parallel with the L1
 /// cache); regular L2 hits cost 7 cycles; coalesced hits (anchor, cluster or
-/// range TLB) cost 8; a page-table walk costs 50.
+/// range TLB) cost 8; a page-table walk costs 50, and so does a walk that
+/// ends in a fault. [`LatencyModel::charge`] is the only place these prices
+/// are applied: the MMU adds it to [`SchemeStats::cycles`] per access, and
+/// the CPI breakdown multiplies the same prices by the path counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LatencyModel {
     /// Regular L2 TLB hit latency.
@@ -24,6 +28,20 @@ impl Default for LatencyModel {
             l2_hit: Cycles::new(7),
             coalesced_hit: Cycles::new(8),
             walk: Cycles::new(50),
+        }
+    }
+}
+
+impl LatencyModel {
+    /// The cycles one translation that took `path` costs.
+    #[inline]
+    #[must_use]
+    pub fn charge(&self, path: TranslationPath) -> Cycles {
+        match path {
+            TranslationPath::L1Hit => Cycles::ZERO,
+            TranslationPath::L2RegularHit => self.l2_hit,
+            TranslationPath::CoalescedHit => self.coalesced_hit,
+            TranslationPath::Walk | TranslationPath::Fault => self.walk,
         }
     }
 }
@@ -49,8 +67,6 @@ pub enum TranslationPath {
 pub struct AccessResult {
     /// The structure that produced the translation.
     pub path: TranslationPath,
-    /// Cycles charged for this access.
-    pub cycles: Cycles,
     /// The translated frame, `None` on fault.
     pub pfn: Option<PhysFrameNum>,
 }
@@ -75,7 +91,7 @@ pub struct SchemeStats {
     pub walks: u64,
     /// Unmapped addresses encountered.
     pub faults: u64,
-    /// Total translation cycles.
+    /// Total translation cycles, priced by [`LatencyModel::charge`].
     pub cycles: Cycles,
 }
 
@@ -106,11 +122,11 @@ impl SchemeStats {
         ratio(self.walks + self.faults, self.l2_accesses())
     }
 
-    /// Records one access outcome.
-    pub fn record(&mut self, result: AccessResult) {
+    /// Records one translation that took `path` and cost `cycles`.
+    pub fn record(&mut self, path: TranslationPath, cycles: Cycles) {
         self.accesses += 1;
-        self.cycles += result.cycles;
-        match result.path {
+        self.cycles += cycles;
+        match path {
             TranslationPath::L1Hit => self.l1_hits += 1,
             TranslationPath::L2RegularHit => self.l2_regular_hits += 1,
             TranslationPath::CoalescedHit => self.coalesced_hits += 1,
@@ -209,17 +225,31 @@ mod tests {
     }
 
     #[test]
+    fn charge_prices_every_path() {
+        let m = LatencyModel {
+            l2_hit: Cycles::new(3),
+            coalesced_hit: Cycles::new(5),
+            walk: Cycles::new(100),
+        };
+        assert_eq!(m.charge(TranslationPath::L1Hit), Cycles::ZERO);
+        assert_eq!(m.charge(TranslationPath::L2RegularHit), Cycles::new(3));
+        assert_eq!(m.charge(TranslationPath::CoalescedHit), Cycles::new(5));
+        assert_eq!(m.charge(TranslationPath::Walk), Cycles::new(100));
+        assert_eq!(m.charge(TranslationPath::Fault), Cycles::new(100));
+    }
+
+    #[test]
     fn stats_record_and_rates() {
         let mut s = SchemeStats::default();
-        let mk = |path, cyc| AccessResult {
-            path,
-            cycles: Cycles::new(cyc),
-            pfn: Some(PhysFrameNum::new(0)),
-        };
-        s.record(mk(TranslationPath::L1Hit, 0));
-        s.record(mk(TranslationPath::L2RegularHit, 7));
-        s.record(mk(TranslationPath::CoalescedHit, 8));
-        s.record(mk(TranslationPath::Walk, 50));
+        let m = LatencyModel::default();
+        for path in [
+            TranslationPath::L1Hit,
+            TranslationPath::L2RegularHit,
+            TranslationPath::CoalescedHit,
+            TranslationPath::Walk,
+        ] {
+            s.record(path, m.charge(path));
+        }
         assert_eq!(s.accesses, 4);
         assert_eq!(s.l2_accesses(), 3);
         assert!((s.l2_regular_hit_rate() - 1.0 / 3.0).abs() < 1e-12);

@@ -29,13 +29,18 @@ impl Cadence {
 }
 
 /// Translation-CPI contributions, as stacked in Figures 10–11.
+///
+/// Each term is a path counter times its Table 3 price from the run's
+/// [`LatencyModel`](hytlb_schemes::LatencyModel) — the prices the MMU
+/// charges into [`SchemeStats::cycles`] — so `total() × instructions`
+/// equals `stats.cycles` up to float rounding.
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct CpiBreakdown {
-    /// Regular L2 hits (7 cycles each).
+    /// Regular L2 hits (7 cycles each by default).
     pub l2_hit: f64,
-    /// Anchor / cluster / range hits (8 cycles each).
+    /// Anchor / cluster / range hits (8 cycles each by default).
     pub coalesced_hit: f64,
-    /// Page-table walks (50 cycles each).
+    /// Page-table walks and faults (50 cycles each by default).
     pub walk: f64,
 }
 

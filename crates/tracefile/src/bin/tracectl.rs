@@ -273,7 +273,10 @@ fn convert_cmd(args: &[String]) -> Result<(), CliError> {
     // LegacyReader buffers internally, but BufReader also cheapens the
     // small header reads.
     let sink = BufWriter::new(File::create(out_path)?);
-    let summary = hytlb_tracefile::convert(legacy, sink, block)?;
+    // A failed conversion must not leave a partial v2 file behind.
+    let summary = hytlb_tracefile::convert(legacy, sink, block).inspect_err(|_| {
+        let _ = std::fs::remove_file(out_path);
+    })?;
     println!("converted {legacy_path} → {out_path}");
     println!(
         "  accesses={} blocks={} bytes={} ({:.2}x smaller than the v1 payload)",

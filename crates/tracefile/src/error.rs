@@ -20,11 +20,14 @@ pub enum TraceFileError {
         /// What was wrong with it.
         detail: String,
     },
-    /// The file is a hytlb trace, but of a version this build does not
-    /// read.
+    /// The file is a hytlb trace, but of a version the reader given it
+    /// does not read.
     UnsupportedVersion {
         /// The version the file declares.
         found: u32,
+        /// The version the reader reads: 1 for the legacy reader, 2 for
+        /// the block-format reader.
+        expected: u32,
     },
     /// A corpus-store operation referenced an entry that does not exist
     /// or disagrees with the manifest.
@@ -57,8 +60,11 @@ impl fmt::Display for TraceFileError {
             TraceFileError::Corrupt { what, detail } => {
                 write!(f, "corrupt trace file ({what}): {detail}")
             }
-            TraceFileError::UnsupportedVersion { found } => {
-                write!(f, "unsupported trace-file version {found} (this build reads version 2)")
+            TraceFileError::UnsupportedVersion { found, expected } => {
+                write!(
+                    f,
+                    "unsupported trace-file version {found} (this reader reads version {expected})"
+                )
             }
             TraceFileError::Store { detail } => write!(f, "trace store: {detail}"),
         }
@@ -123,7 +129,7 @@ mod tests {
 
     #[test]
     fn converts_to_io_invalid_data() {
-        let io_err: io::Error = TraceFileError::UnsupportedVersion { found: 9 }.into();
+        let io_err: io::Error = TraceFileError::UnsupportedVersion { found: 9, expected: 2 }.into();
         assert_eq!(io_err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -145,7 +145,7 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<(TraceMeta, u64)> {
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
     if magic == *b"HYTLBTR1" {
-        return Err(TraceFileError::UnsupportedVersion { found: 1 });
+        return Err(TraceFileError::UnsupportedVersion { found: 1, expected: FORMAT_VERSION });
     }
     if magic != FILE_MAGIC {
         return Err(TraceFileError::corrupt("file magic", "not a HYTLBTR2 trace file"));
@@ -166,7 +166,10 @@ pub fn read_header<R: Read>(reader: &mut R) -> Result<(TraceMeta, u64)> {
     let meta: TraceMeta = serde_json::from_str(text)
         .map_err(|e| TraceFileError::corrupt("header", format!("bad JSON: {e}")))?;
     if meta.version != FORMAT_VERSION {
-        return Err(TraceFileError::UnsupportedVersion { found: meta.version });
+        return Err(TraceFileError::UnsupportedVersion {
+            found: meta.version,
+            expected: FORMAT_VERSION,
+        });
     }
     if meta.block_accesses == 0 || meta.block_accesses > crate::block::MAX_BLOCK_ACCESSES {
         return Err(TraceFileError::corrupt(
@@ -286,7 +289,10 @@ mod tests {
     fn legacy_magic_reports_version_1() {
         let mut cursor = &b"HYTLBTR1xxxx"[..];
         match read_header(&mut cursor) {
-            Err(TraceFileError::UnsupportedVersion { found: 1 }) => {}
+            Err(e @ TraceFileError::UnsupportedVersion { found: 1, expected: 2 }) => assert_eq!(
+                e.to_string(),
+                "unsupported trace-file version 1 (this reader reads version 2)"
+            ),
             other => panic!("expected UnsupportedVersion {{ 1 }}, got {other:?}"),
         }
     }

@@ -1,11 +1,14 @@
 //! Reading the legacy `HYTLBTR1` format and converting it to v2.
 //!
-//! The v1 format (`hytlb_trace::io`) is a JSON header followed by raw
-//! little-endian u64s — simple, but 8 bytes per access and with nothing
-//! to catch corruption. [`LegacyReader`] streams it with bounded memory
-//! (an 8 KiB read buffer, never a full `Vec` of the trace) and
-//! [`convert`] re-encodes it block-by-block into v2, which is what
-//! `hytlb-tracectl convert` runs.
+//! The v1 format is frozen: nothing writes it any more, and this module is
+//! the only code that reads it. A v1 file is the magic `HYTLBTR1`, a
+//! little-endian `u32` header length, a JSON header (`workload`,
+//! `footprint_pages`, `accesses`, `seed`) and then `accesses` raw
+//! little-endian u64 addresses — simple, but 8 bytes per access and with
+//! nothing to catch corruption. [`LegacyReader`] streams it with bounded
+//! memory (an 8 KiB read buffer, never a full `Vec` of the trace, whatever
+//! the header declares) and [`convert`] re-encodes it block-by-block into
+//! v2, which is what `hytlb-tracectl convert` runs.
 
 use std::io::Read;
 
@@ -16,7 +19,7 @@ use crate::writer::{TraceWriter, WriteSummary};
 /// Leading magic of a version-1 trace file.
 pub const LEGACY_MAGIC: [u8; 8] = *b"HYTLBTR1";
 
-/// The v1 JSON header. Field names must match `hytlb_trace::io`.
+/// The v1 JSON header.
 #[derive(Debug, Clone, serde::Deserialize)]
 struct LegacyHeader {
     workload: String,
@@ -48,7 +51,7 @@ impl<R: Read> LegacyReader<R> {
         let mut magic = [0u8; 8];
         src.read_exact(&mut magic)?;
         if magic == crate::format::FILE_MAGIC {
-            return Err(TraceFileError::UnsupportedVersion { found: 2 });
+            return Err(TraceFileError::UnsupportedVersion { found: 2, expected: 1 });
         }
         if magic != LEGACY_MAGIC {
             return Err(TraceFileError::corrupt("file magic", "not a HYTLBTR1 trace file"));
@@ -136,27 +139,27 @@ impl<R: Read> Iterator for LegacyReader<R> {
         if self.failed || self.yielded >= self.declared {
             return None;
         }
-        if self.buf_pos + 8 > self.buf_len {
-            let leftover = self.buf_len - self.buf_pos;
-            match self.refill() {
-                Ok(0) => {
-                    self.failed = true;
-                    let detail = if leftover == 0 {
-                        format!(
-                            "payload ends after {} of {} declared accesses",
-                            self.yielded, self.declared
-                        )
-                    } else {
-                        "payload is not a whole number of u64s".into()
-                    };
-                    return Some(Err(TraceFileError::corrupt("legacy payload", detail)));
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e.into()));
-                }
+        if self.buf_pos == self.buf_len {
+            if let Err(e) = self.refill() {
+                self.failed = true;
+                return Some(Err(e.into()));
             }
+        }
+        // `refill` stops short of a full (8-byte-aligned) buffer only at
+        // end of input, so fewer than 8 bytes left means the payload ran
+        // out.
+        let left = self.buf_len - self.buf_pos;
+        if left < 8 {
+            self.failed = true;
+            let detail = if left == 0 {
+                format!(
+                    "payload ends after {} of {} declared accesses",
+                    self.yielded, self.declared
+                )
+            } else {
+                "payload is not a whole number of u64s".into()
+            };
+            return Some(Err(TraceFileError::corrupt("legacy payload", detail)));
         }
         let chunk = &self.buf[self.buf_pos..self.buf_pos + 8];
         self.buf_pos += 8;
@@ -201,60 +204,102 @@ mod tests {
     use super::*;
     use crate::reader::TraceReader;
 
-    /// Builds a v1 file by hand (magic + len + JSON + raw u64s), so the
-    /// tests don't depend on `hytlb_trace::io` internals.
+    /// Builds a v1 file by hand: magic, header length, JSON header, raw
+    /// u64s.
     fn legacy_bytes(workload: &str, accesses: &[u64]) -> Vec<u8> {
-        let json = format!(
-            "{{\"workload\":\"{workload}\",\"footprint_pages\":4096,\"accesses\":{},\"seed\":9}}",
-            accesses.len()
-        );
-        let mut out = Vec::new();
-        out.extend_from_slice(&LEGACY_MAGIC);
-        out.extend_from_slice(&(json.len() as u32).to_le_bytes());
-        out.extend_from_slice(json.as_bytes());
+        let mut out = legacy_header(workload, accesses.len() as u64);
         for a in accesses {
             out.extend_from_slice(&a.to_le_bytes());
         }
         out
     }
 
+    /// A v1 prelude declaring `declared` accesses, with no payload.
+    fn legacy_header(workload: &str, declared: u64) -> Vec<u8> {
+        let json = format!(
+            "{{\"workload\":\"{workload}\",\"footprint_pages\":4096,\"accesses\":{declared},\"seed\":9}}"
+        );
+        let mut out = Vec::new();
+        out.extend_from_slice(&LEGACY_MAGIC);
+        out.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        out.extend_from_slice(json.as_bytes());
+        out
+    }
+
+    /// Addresses the reader yields before it stops, and the error it
+    /// stopped on, if any.
+    fn drain(reader: LegacyReader<&[u8]>) -> (u64, Option<TraceFileError>) {
+        let mut yielded = 0;
+        for item in reader {
+            match item {
+                Ok(_) => yielded += 1,
+                Err(e) => return (yielded, Some(e)),
+            }
+        }
+        (yielded, None)
+    }
+
     #[test]
     fn legacy_reader_streams_the_payload() {
-        let addresses: Vec<u64> = (0..3000u64).map(|i| i * 4096 + i % 4096).collect();
-        let bytes = legacy_bytes("gups", &addresses);
-        let reader = LegacyReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.workload(), "gups");
-        assert_eq!(reader.footprint_pages(), 4096);
-        assert_eq!(reader.seed(), 9);
-        assert_eq!(reader.declared_accesses(), 3000);
-        let back: Result<Vec<u64>> = reader.collect();
-        assert_eq!(back.unwrap(), addresses);
+        // Several 8 KiB refills, and a file that declares no accesses.
+        for n in [3000u64, 0] {
+            let addresses: Vec<u64> = (0..n).map(|i| i * 4096 + i % 4096).collect();
+            let bytes = legacy_bytes("gups", &addresses);
+            let reader = LegacyReader::new(&bytes[..]).unwrap();
+            assert_eq!(reader.workload(), "gups");
+            assert_eq!(reader.footprint_pages(), 4096);
+            assert_eq!(reader.seed(), 9);
+            assert_eq!(reader.declared_accesses(), n);
+            let back: Result<Vec<u64>> = reader.collect();
+            assert_eq!(back.unwrap(), addresses);
+        }
     }
 
     #[test]
     fn truncated_legacy_payload_errors() {
         let addresses: Vec<u64> = (0..100u64).map(|i| i * 8).collect();
-        let mut bytes = legacy_bytes("mcf", &addresses);
-        bytes.truncate(bytes.len() - 20); // 2.5 accesses short
-        let reader = LegacyReader::new(&bytes[..]).unwrap();
-        let result: Result<Vec<u64>> = reader.collect();
-        assert!(result.unwrap_err().is_corrupt());
+        let full = legacy_bytes("mcf", &addresses);
+        let one = legacy_bytes("one", &[7]);
+        let cases = [
+            // 2.5 accesses short.
+            (full[..full.len() - 20].to_vec(), 97, "not a whole number of u64s"),
+            // Half an access: its 4 bytes must not become an address.
+            (one[..one.len() - 4].to_vec(), 0, "not a whole number of u64s"),
+            // Two whole accesses short.
+            (full[..full.len() - 16].to_vec(), 98, "98 of 100"),
+            // A header that declares u64::MAX accesses over an empty
+            // payload must fail, not try to reserve them.
+            (legacy_header("liar", u64::MAX), 0, "0 of 18446744073709551615"),
+        ];
+        for (bytes, good, message) in cases {
+            let (yielded, err) = drain(LegacyReader::new(&bytes[..]).unwrap());
+            let err = err.expect("a short payload must error");
+            assert_eq!(yielded, good, "{err}");
+            assert!(err.is_corrupt(), "{err}");
+            assert!(err.to_string().contains(message), "{err}");
+            assert!(convert(&bytes[..], Vec::new(), None).unwrap_err().is_corrupt());
+        }
     }
 
     #[test]
-    fn oversized_legacy_header_is_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&LEGACY_MAGIC);
-        bytes.extend_from_slice(&(MAX_HEADER_BYTES + 1).to_le_bytes());
-        let err = LegacyReader::new(&bytes[..]).unwrap_err();
-        assert!(err.is_corrupt(), "{err}");
+    fn bad_legacy_prelude_is_rejected() {
+        let mut oversized = Vec::new();
+        oversized.extend_from_slice(&LEGACY_MAGIC);
+        oversized.extend_from_slice(&(MAX_HEADER_BYTES + 1).to_le_bytes());
+        for bytes in [oversized, b"NOTATRACE___".to_vec()] {
+            let err = LegacyReader::new(&bytes[..]).unwrap_err();
+            assert!(err.is_corrupt(), "{err}");
+        }
     }
 
     #[test]
     fn v2_magic_is_reported_as_wrong_version() {
         let bytes = b"HYTLBTR2rest";
         match LegacyReader::new(&bytes[..]) {
-            Err(TraceFileError::UnsupportedVersion { found: 2 }) => {}
+            Err(e @ TraceFileError::UnsupportedVersion { found: 2, expected: 1 }) => assert_eq!(
+                e.to_string(),
+                "unsupported trace-file version 2 (this reader reads version 1)"
+            ),
             other => panic!("expected UnsupportedVersion {{ 2 }}, got {other:?}"),
         }
     }
@@ -276,5 +321,44 @@ mod tests {
         assert_eq!(reader.meta().seed, 9);
         let back: Result<Vec<u64>> = reader.addresses().collect();
         assert_eq!(back.unwrap(), addresses);
+    }
+
+    /// The most addresses a v1 file can honestly yield: what its header
+    /// declares, capped by the whole u64s its payload holds.
+    fn honest_bound(bytes: &[u8], declared: u64) -> u64 {
+        let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let payload = bytes.len() - 12 - header_len;
+        declared.min(payload as u64 / 8)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes, bytes behind a valid magic, and arbitrary cuts
+        /// of a valid file: neither the reader nor `convert` panics, and
+        /// neither yields more addresses than the file really holds.
+        #[test]
+        fn hostile_input_never_panics_or_over_yields(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+            addresses in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300),
+            cut_permille in 0usize..=1000,
+        ) {
+            let mut behind_magic = LEGACY_MAGIC.to_vec();
+            behind_magic.extend_from_slice(&noise);
+            let valid = legacy_bytes("fuzz", &addresses);
+            let cut = valid[..valid.len() * cut_permille / 1000].to_vec();
+            let mut noisy_payload = legacy_header("fuzz", addresses.len() as u64);
+            noisy_payload.extend_from_slice(&noise);
+            for bytes in [noise.clone(), behind_magic, cut, noisy_payload] {
+                let Ok(reader) = LegacyReader::new(&bytes[..]) else { continue };
+                let bound = honest_bound(&bytes, reader.declared_accesses());
+                let (yielded, err) = drain(reader);
+                proptest::prop_assert!(yielded <= bound, "{yielded} > {bound}");
+                proptest::prop_assert!(err.is_some() || yielded == bound);
+                if let Ok(summary) = convert(&bytes[..], Vec::new(), Some(64)) {
+                    proptest::prop_assert_eq!(summary.written.accesses, yielded);
+                }
+            }
+        }
     }
 }

@@ -2,13 +2,10 @@
 //! v1 reader or `convert` regresses, these tests fail against real
 //! bytes, not bytes produced by the same code under test.
 //!
-//! The fixture is gups, footprint 8192 pages, seed 7, 2000 accesses,
-//! written by `hytlb_trace::write_trace`. Regenerate (only after a
-//! deliberate v1 format change) with:
-//!
-//! ```text
-//! cargo test -p hytlb-tracefile --test legacy_fixture regenerate -- --ignored
-//! ```
+//! The fixture is gups, footprint 8192 pages, seed 7, 2000 accesses. It
+//! was written by the v1 writer `hytlb-trace` used to carry, which has
+//! since been removed: v1 is frozen, `LegacyReader` is the only v1 code
+//! left, and the fixture is never regenerated.
 
 use hytlb_trace::WorkloadKind;
 use hytlb_tracefile::{convert, verify, LegacyReader, TraceReader};
@@ -28,23 +25,15 @@ fn expected_addresses() -> Vec<u64> {
 }
 
 #[test]
-fn fixture_reads_back_via_both_paths() {
+fn fixture_streams_through_the_legacy_reader() {
     let bytes = std::fs::read(fixture_path()).expect("committed fixture present");
-    let expected = expected_addresses();
-
-    // The v1 module's own reader.
-    let (workload, footprint_pages, seed, addresses) = hytlb_trace::read_trace(&bytes[..]).unwrap();
-    assert_eq!(workload, "gups");
-    assert_eq!(footprint_pages, FOOTPRINT_PAGES);
-    assert_eq!(seed, SEED);
-    assert_eq!(addresses, expected);
-
-    // The tracefile crate's streaming legacy reader.
     let reader = LegacyReader::new(&bytes[..]).unwrap();
     assert_eq!(reader.workload(), "gups");
+    assert_eq!(reader.footprint_pages(), FOOTPRINT_PAGES);
+    assert_eq!(reader.seed(), SEED);
     assert_eq!(reader.declared_accesses(), ACCESSES as u64);
     let streamed: Result<Vec<u64>, _> = reader.collect();
-    assert_eq!(streamed.unwrap(), expected);
+    assert_eq!(streamed.unwrap(), expected_addresses());
 }
 
 #[test]
@@ -68,24 +57,4 @@ fn fixture_converts_to_v2_losslessly() {
     assert_eq!(reader.meta().seed, SEED);
     let replayed: Result<Vec<u64>, _> = reader.addresses().collect();
     assert_eq!(replayed.unwrap(), expected_addresses());
-}
-
-/// Not a test: rewrites the fixture. Run explicitly (see module docs)
-/// after a deliberate v1 format change, and commit the result.
-#[test]
-#[ignore = "regenerates the committed fixture"]
-fn regenerate_fixture() {
-    let path = fixture_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    let mut bytes = Vec::new();
-    hytlb_trace::write_trace(
-        &mut bytes,
-        WORKLOAD.label(),
-        FOOTPRINT_PAGES,
-        SEED,
-        &expected_addresses(),
-    )
-    .unwrap();
-    std::fs::write(&path, &bytes).unwrap();
-    println!("wrote {} bytes to {}", bytes.len(), path.display());
 }
